@@ -18,6 +18,7 @@ import yaml
 from .device import SimDevice
 from .geometry import make_geometry
 from .linklevel import MODULATIONS
+from .optim import OPTIMIZERS
 from .training import TrainingConfig
 
 METHODS = ("no_sim", "model_based", "data_driven")
@@ -312,9 +313,9 @@ def _check_constraints(cfg):
         raise ConfigConstraintError(
             f"training.pilot_symbols = {cfg.training.pilot_symbols} is fewer than "
             f"simulation.n_users = {s.n_users}")
-    if cfg.training.optimizer not in ("adam", "sgd"):
+    if cfg.training.optimizer not in OPTIMIZERS:
         raise ConfigConstraintError(
-            f"training.optimizer must be 'adam' or 'sgd', got {cfg.training.optimizer!r}")
+            f"training.optimizer {cfg.training.optimizer!r} is not one of {sorted(OPTIMIZERS)}")
     for i, curve in enumerate(s.curves):
         bps = int(math.log2(MODULATIONS[curve.modulation]))
         if s.bits_per_user % bps:

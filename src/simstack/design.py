@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import Adam
-from .propagation import ForwardOperator, resolve_chain
+from .optim import Adam, minimize
+from .propagation import ForwardOperator
 
 
 class DegenerateChannelError(ValueError):
@@ -27,8 +27,6 @@ class SvdDesign:
     left_vectors: np.ndarray      # Q x N, orthonormal columns
     singular_values: np.ndarray   # K, nonincreasing
     target_forward: np.ndarray    # N x Q
-    diagonal_gains: np.ndarray    # N, all ones here
-    rotation: np.ndarray          # N x N identity here
 
 
 def svd_target(h, n):
@@ -45,11 +43,7 @@ def svd_target(h, n):
     if s[-1] <= 1e-12 * s[0]:
         raise DegenerateChannelError(f"smallest singular value {s[-1]} vs largest {s[0]}")
     left = u[:, :n]
-    return SvdDesign(left_vectors=left,
-                     singular_values=s,
-                     target_forward=left.conj().T,
-                     diagonal_gains=np.ones(n),
-                     rotation=np.eye(n))
+    return SvdDesign(left_vectors=left, singular_values=s, target_forward=left.conj().T)
 
 
 @dataclass
@@ -60,45 +54,34 @@ class FitResult:
     loss: float
 
 
-def fit_sim_to_target(geometry, device, target, *, iterations=1000,
+def fit_sim_to_target(ws, device, target, *, iterations=1000,
                       step_size=0.05, tolerance=1e-3):
     """Fit the device's transmission parameters so the stack response
-    approaches `target` (N x Q) in relative Frobenius error.
+    through the coupling chain `ws` approaches `target` (N x Q) in
+    relative Frobenius error.
 
     Mutates `device` to the best iterate found and returns a FitResult;
     converged=False flags a residual still at or above `tolerance`.
     A zero target degenerates the relative error, so the raw power
     ||G||_F^2 is minimized instead (amplitudes drive toward their floor).
     """
-    ws = resolve_chain(geometry)
     target = np.asarray(target)
     tnorm2 = float(np.linalg.norm(target) ** 2)
     if tnorm2 == 0.0:
         tnorm2 = 1.0
 
-    def loss_grad():
+    def loss_and_grad(x):
+        device.set_flat(x)
         fwd = ForwardOperator(ws, device.taus())
         err = fwd.matrix - target
         loss = float(np.linalg.norm(err) ** 2) / tnorm2
-        gtau = fwd.tau_cogradients(err / tnorm2)
-        return loss, device.param_grad(gtau)
+        return loss, device.param_grad(fwd.tau_cogradients(err / tnorm2))
 
-    opt = Adam(device.n_params, step_size)
-    best_loss, best_x = np.inf, device.flat()
-    it = 0
-    for it in range(1, iterations + 1):
-        loss, grad = loss_grad()
-        if loss < best_loss:
-            best_loss, best_x = loss, device.flat()
-        if np.sqrt(best_loss) < tolerance:
-            break
-        device.set_flat(device.flat() + opt.step(grad))
-    else:
-        # final iterate may be the best one
-        loss, _ = loss_grad()
-        if loss < best_loss:
-            best_loss, best_x = loss, device.flat()
-    device.set_flat(best_x)
+    # `iterations` steps lie between iterations + 1 evaluations
+    x, best_loss, losses = minimize(loss_and_grad, device.flat(), Adam(step_size),
+                                    iterations + 1,
+                                    lambda losses: np.sqrt(losses[-1]) < tolerance)
+    device.set_flat(x)
     residual = float(np.sqrt(best_loss))
     return FitResult(residual=residual, converged=residual < tolerance,
-                     n_iterations=it, loss=best_loss)
+                     n_iterations=min(len(losses), iterations), loss=best_loss)

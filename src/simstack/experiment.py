@@ -26,7 +26,7 @@ from .linklevel import (constellation_for, ebn0_to_noise_variance,
                         generate_channel, link_snr, simulate_block)
 from .precoding import effective_channel, mmse_precoder
 from .propagation import ForwardOperator, coupling_chain
-from .training import TrainingDivergenceError, train
+from .training import train
 
 
 class ExperimentError(RuntimeError):
@@ -108,8 +108,8 @@ def _trial_task(args):
     cfg, index, trial_seed = args
     try:
         return run_trial(cfg, index, trial_seed)
-    except (TrainingDivergenceError, FloatingPointError) as exc:
-        return TrialRecord(index, failed=True, note=str(exc))
+    except Exception as exc:      # a failed trial is recorded, never raised
+        return TrialRecord(index, failed=True, note=f"{type(exc).__name__}: {exc}")
 
 
 def run_trials(cfg, workers=1):

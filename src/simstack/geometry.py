@@ -40,24 +40,6 @@ class LayerGrid:
     def count(self):
         return self.qx_count * self.qy_count
 
-    def atom_index(self, qx, qy):
-        if not (0 <= qx < self.qx_count and 0 <= qy < self.qy_count):
-            raise IndexError(f"cell ({qx}, {qy}) outside {self.qx_count}x{self.qy_count} grid")
-        return qx * self.qy_count + qy
-
-    def atom_cell(self, q):
-        """Inverse of atom_index."""
-        if not (0 <= q < self.count):
-            raise IndexError(f"atom index {q} out of range for {self.count} cells")
-        return divmod(q, self.qy_count)
-
-    def atom_position(self, q):
-        """Transverse (x, y) of atom q; the grid centroid sits at (0, 0)."""
-        qx, qy = self.atom_cell(q)
-        x = (qx - (self.qx_count - 1) / 2.0) * self.spacing
-        y = (qy - (self.qy_count - 1) / 2.0) * self.spacing
-        return (x, y)
-
     def positions(self):
         """All atom coordinates as a (count, 2) array, in index order."""
         xs = (np.arange(self.qx_count) - (self.qx_count - 1) / 2.0) * self.spacing
@@ -161,26 +143,6 @@ def make_geometry(n_antennas, antenna_spacing, array_to_first_layer,
         meta_atom_area=meta_atom_area,
         antenna_spacing=antenna_spacing,
     )
-
-
-def pairwise_distance_array_to_layer(geometry, n, q):
-    """Distance from antenna n to atom q of the first layer:
-    sqrt((xq - xn)^2 + (yq - yn)^2 + sigma^2) >= sigma."""
-    xn, yn = geometry.array_positions[n]
-    xq, yq = geometry.layers[0].atom_position(q)
-    sigma = geometry.array_to_first_layer
-    return math.sqrt((xq - xn) ** 2 + (yq - yn) ** 2 + sigma ** 2)
-
-
-def pairwise_distance_layer_to_layer(geometry, ell, q_prev, q):
-    """Distance from atom q_prev on layer ell-1 to atom q on layer ell
-    (ell is 1-based, ell >= 2): sqrt(dx^2 + dy^2 + s^2) >= s."""
-    if not (2 <= ell <= geometry.n_layers):
-        raise IndexError(f"layer index {ell} out of range 2..{geometry.n_layers}")
-    xa, ya = geometry.layers[ell - 2].atom_position(q_prev)
-    xb, yb = geometry.layers[ell - 1].atom_position(q)
-    s = geometry.inter_layer_spacing
-    return math.sqrt((xb - xa) ** 2 + (yb - ya) ** 2 + s ** 2)
 
 
 def transverse_distances(src_xy, dst_xy, axial):

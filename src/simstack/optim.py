@@ -1,14 +1,15 @@
-"""First-order optimizers over flat real parameter vectors.
+"""First-order optimizers over flat real parameter vectors, and the one
+loop that drives them.
 
-Both expose step(grad) -> additive update; state lives in the instance, so
-a restart means constructing a fresh optimizer.
+Both optimizers expose step(grad) -> additive update; state lives in the
+instance, so a restart means constructing a fresh optimizer.
 """
 
 import numpy as np
 
 
 class GradientDescent:
-    def __init__(self, n_params, step_size):
+    def __init__(self, step_size):
         self.step_size = float(step_size)
 
     def step(self, grad):
@@ -18,9 +19,9 @@ class GradientDescent:
 class Adam:
     """Adaptive-moment estimation with bias correction."""
 
-    def __init__(self, n_params, step_size, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
+    def __init__(self, step_size, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = 0.0             # moments broadcast to the gradient's shape
+        self.v = 0.0
         self.t = 0
         self.step_size = float(step_size)
         self.beta1 = beta1
@@ -40,8 +41,28 @@ class Adam:
 OPTIMIZERS = {"adam": Adam, "sgd": GradientDescent}
 
 
-def make_optimizer(name, n_params, step_size):
+def make_optimizer(name, step_size):
     try:
-        return OPTIMIZERS[name](n_params, step_size)
+        return OPTIMIZERS[name](step_size)
     except KeyError:
         raise ValueError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}")
+
+
+def minimize(loss_and_grad, x0, optimizer, evaluations, stop):
+    """Evaluate `loss_and_grad(x) -> (loss, grad)` at most `evaluations`
+    times, stepping x by `optimizer` between evaluations; `stop(losses)`
+    runs after every evaluation and ends the loop early when true.
+    Returns (best_x, best_loss, losses): the lowest-loss iterate visited
+    (x0 if none beats inf) and every loss seen.
+    """
+    x, best_x, best_loss = x0, x0, np.inf
+    losses = []
+    for _ in range(evaluations):
+        loss, grad = loss_and_grad(x)
+        losses.append(loss)
+        if loss < best_loss:
+            best_x, best_loss = x, loss
+        if stop(losses) or len(losses) == evaluations:
+            break
+        x = x + optimizer.step(grad)
+    return best_x, best_loss, losses

@@ -114,10 +114,6 @@ class TrainablePrecoder:
         self.backing = init.copy()
 
     @property
-    def shape(self):
-        return self.backing.shape
-
-    @property
     def n_params(self):
         return 2 * self.backing.size
 
@@ -140,6 +136,3 @@ class TrainablePrecoder:
         radial = np.real(np.vdot(self.backing, cograd_p)) / r ** 2
         g = (np.sqrt(self.total_power) / r) * (cograd_p - radial * self.backing)
         return np.concatenate([2.0 * g.real.ravel(), 2.0 * g.imag.ravel()])
-
-    def as_precoder(self, beta):
-        return Precoder(self.matrix(), self.total_power, beta)

@@ -60,7 +60,8 @@ def build_w_ell(geometry, ell):
 @lru_cache(maxsize=8)
 def coupling_chain(geometry):
     """[W1, W2, ..., WL] for a geometry; identical consecutive grids share
-    one matrix. Cached because the chain is reused across all trials."""
+    one matrix. Cached because the chain is reused across all trials, so
+    every matrix is read-only."""
     ws = [build_w1(geometry)]
     prev_key, prev_w = None, None
     for ell in range(2, geometry.n_layers + 1):
@@ -73,6 +74,8 @@ def coupling_chain(geometry):
             prev_w = build_w_ell(geometry, ell)
             prev_key = key
             ws.append(prev_w)
+    for w in ws:
+        w.flags.writeable = False
     return ws
 
 
@@ -113,19 +116,6 @@ class ForwardOperator:
             if ell > 0:
                 msg = (msg * np.conj(self.taus[ell])[None, :]) @ self.w_list[ell].conj().T
         return out
-
-
-def resolve_chain(geometry_or_chain):
-    """Accept either a SimGeometry (chain built and cached) or a prebuilt
-    list of coupling matrices."""
-    from .geometry import SimGeometry
-    if isinstance(geometry_or_chain, SimGeometry):
-        return coupling_chain(geometry_or_chain)
-    return list(geometry_or_chain)
-
-
-def compose_forward(w_list, device):
-    return ForwardOperator(w_list, device.taus())
 
 
 def radiated_power(precoder_matrix, forward, total_power=None):

@@ -15,16 +15,15 @@ beta the d(beta)/d(params) terms contribute nothing to first order, so
 beta is held fixed inside each backward pass.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .device import SimDevice
-from .optim import make_optimizer
+from .optim import make_optimizer, minimize
 from .precoding import (Precoder, TrainablePrecoder, effective_channel,
                         mmse_precoder, optimal_receiver_scale)
-from .propagation import ForwardOperator, resolve_chain
+from .propagation import ForwardOperator, coupling_chain
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -39,7 +38,6 @@ class TrainingConfig:
     step_size: float = 1e-2
     optimizer: str = "adam"
     seed: object = None            # anything np.random.default_rng accepts
-    power_cap: float = None        # optional c: rescale so ||PG||^2 <= c*P_S
 
     def __post_init__(self):
         if self.step_size <= 0:
@@ -56,6 +54,14 @@ class LossReport:
     restarted: bool = False
 
 
+def _residual(b, p, g, h, noise):
+    y = b @ p @ g @ h + noise
+    den = np.real(np.vdot(y, y))
+    beta = np.real(np.vdot(y, b)) / den if den > 0 else 0.0
+    err = b - beta * y
+    return float(np.linalg.norm(err) ** 2) / b.shape[0], beta, err
+
+
 def empirical_mse(p, g, h, pilot_block, noise):
     """Empirical MSE of a pilot block with the batch-optimal real scale.
 
@@ -63,39 +69,32 @@ def empirical_mse(p, g, h, pilot_block, noise):
     ((1/S)||B - beta Y||_F^2, beta). Pure function. All-zero Y falls back
     to beta = 0 and the raw pilot energy.
     """
-    b = np.asarray(pilot_block)
-    y = b @ np.asarray(p) @ np.asarray(g) @ np.asarray(h) + np.asarray(noise)
-    den = np.real(np.vdot(y, y))
-    beta = np.real(np.vdot(y, b)) / den if den > 0 else 0.0
-    err = b - beta * y
-    return float(np.linalg.norm(err) ** 2) / b.shape[0], float(beta)
+    loss, beta, _ = _residual(*(np.asarray(a) for a in (pilot_block, p, g, h, noise)))
+    return loss, float(beta)
 
 
 def _loss_and_cograds(b, p, g, h, noise):
-    s = b.shape[0]
-    y = b @ p @ g @ h + noise
-    den = np.real(np.vdot(y, y))
-    beta = np.real(np.vdot(y, b)) / den if den > 0 else 0.0
-    err = b - beta * y
-    loss = float(np.linalg.norm(err) ** 2) / s
+    loss, beta, err = _residual(b, p, g, h, noise)
     # dL = 2 Re tr(cog^H dX) for X in {P, G}
-    scale = -beta / s
+    scale = -beta / b.shape[0]
     ebh = err @ h.conj().T                       # S x Q
     cog_p = scale * (b.conj().T @ ebh @ g.conj().T)
     cog_g = scale * (p.conj().T @ b.conj().T @ ebh)
     return loss, beta, cog_p, cog_g
 
 
-def train(geometry, device, h, config, constellation, total_power):
+def train(ws, device, h, config, constellation, total_power):
     """Train the device and a power-constrained precoder against one
-    channel realization. Returns (device, Precoder, LossReport); `device`
-    is mutated to (and returned at) the best-loss iterate.
+    channel realization, through the coupling chain `ws`. Returns
+    (device, Precoder, LossReport); `device` is mutated to (and returned
+    at) the best-loss iterate.
 
     Divergence (loss above 10x the initial loss) triggers one restart from
     the initial state at half the step size; a second divergence raises
-    TrainingDivergenceError.
+    TrainingDivergenceError. The loss cannot see the precoder's sign, so
+    the returned precoder takes the sign that makes its receiver scale
+    positive.
     """
-    ws = resolve_chain(geometry)
     h = np.asarray(h)
     k = h.shape[1]
     if config.pilot_symbols < k:
@@ -108,75 +107,50 @@ def train(geometry, device, h, config, constellation, total_power):
     noise_scale = np.sqrt(sigma2 / 2.0)
 
     g0 = ForwardOperator(ws, device.taus()).matrix
-    p0 = mmse_precoder(g0, h, config.snr, total_power).matrix
-    init_device = device.flat()
+    tp = TrainablePrecoder(total_power, mmse_precoder(g0, h, config.snr, total_power).matrix)
+    n = device.n_params
+    x0 = np.concatenate([device.flat(), tp.flat()])
     start = rng.bit_generator.state      # restarts replay the same noise
 
+    def loss_and_grad(x):
+        device.set_flat(x[:n])
+        tp.set_flat(x[n:])
+        noise = noise_scale * (rng.standard_normal((s, k))
+                               + 1j * rng.standard_normal((s, k)))
+        fwd = ForwardOperator(ws, device.taus())
+        loss, _, cog_p, cog_g = _loss_and_cograds(b, tp.matrix(), fwd.matrix, h, noise)
+        return loss, np.concatenate([device.param_grad(fwd.tau_cogradients(cog_g)),
+                                     tp.param_grad(cog_p)])
+
+    def diverged(losses):
+        if not np.isfinite(losses[-1]):
+            raise FloatingPointError(
+                f"non-finite training loss at iteration {len(losses) - 1}")
+        return losses[-1] > 10.0 * losses[0]
+
     report = LossReport()
-    step_size = config.step_size
-    for attempt in range(2):
-        device.set_flat(init_device)
-        tp = TrainablePrecoder(total_power, p0)
+    for step_size in (config.step_size, 0.5 * config.step_size):
         rng.bit_generator.state = start
-        opt = make_optimizer(config.optimizer, device.n_params + tp.n_params,
-                             step_size)
-        losses = []
-        best = (np.inf, None, None)
-        diverged = False
-        for _ in range(config.iterations):
-            noise = noise_scale * (rng.standard_normal((s, k))
-                                   + 1j * rng.standard_normal((s, k)))
-            fwd = ForwardOperator(ws, device.taus())
-            p = tp.matrix()
-            loss, beta, cog_p, cog_g = _loss_and_cograds(b, p, fwd.matrix, h, noise)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite training loss at iteration {len(losses)}")
-            losses.append(loss)
-            if loss < best[0]:
-                best = (loss, device.flat(), tp.flat())
-            if loss > 10.0 * losses[0]:
-                diverged = True
-                break
-            grad = np.concatenate([device.param_grad(fwd.tau_cogradients(cog_g)),
-                                   tp.param_grad(cog_p)])
-            step = opt.step(grad)
-            device.set_flat(device.flat() + step[:device.n_params])
-            tp.set_flat(tp.flat() + step[device.n_params:])
-        if not diverged:
+        x, _, losses = minimize(loss_and_grad, x0, make_optimizer(config.optimizer, step_size),
+                                max(config.iterations, 1), diverged)
+        if not diverged(losses):
             break
-        if attempt == 1:
-            raise TrainingDivergenceError(
-                f"training diverged at step sizes {config.step_size} and {step_size}")
-        step_size *= 0.5
         report.restarted = True
+    else:
+        raise TrainingDivergenceError(
+            f"training diverged at step sizes {config.step_size} and {step_size}")
 
-    if best[1] is not None:
-        device.set_flat(best[1])
-        tp.set_flat(best[2])
-    else:                         # iterations == 0
-        losses = [empirical_mse(tp.matrix(), ForwardOperator(ws, device.taus()).matrix,
-                                h, b, noise_scale * (rng.standard_normal((s, k))
-                                                     + 1j * rng.standard_normal((s, k))))[0]]
-
+    device.set_flat(x[:n])
+    tp.set_flat(x[n:])
     g = ForwardOperator(ws, device.taus()).matrix
     p = tp.matrix()
-    power_budget = total_power
-    if config.power_cap is not None:
-        radiated = np.linalg.norm(p @ g) ** 2
-        cap = config.power_cap * total_power
-        if radiated > cap:
-            p = p * np.sqrt(cap / radiated)
-            power_budget = float(np.linalg.norm(p) ** 2)
     f = effective_channel(p, g, h)
+    if optimal_receiver_scale(f, sigma2) < 0:
+        p, f = -p, -f
     report.losses = losses
     report.beta = optimal_receiver_scale(f, sigma2)
     report.radiated_power = float(np.linalg.norm(p @ g) ** 2)
-    return device, Precoder(p, power_budget, report.beta), report
-
-
-def clone_device(device):
-    return copy.deepcopy(device)
+    return device, Precoder(p, total_power, report.beta), report
 
 
 def finite_difference_check(step=1e-4, seed=7, snr=10.0):
@@ -197,7 +171,7 @@ def finite_difference_check(step=1e-4, seed=7, snr=10.0):
                              n_layers=3, layer_cells=(4, 4), cell_spacing=0.5,
                              carrier_frequency=3.0e8, antenna_effective_area=0.25,
                              meta_atom_area=0.25)
-    ws = resolve_chain(geometry)
+    ws = coupling_chain(geometry)
     device = SimDevice([16, 16, 16], ["ac", "pc", "pc"], rng=rng)
     k, n, s = 2, 2, 16
     total_power = float(k)

@@ -47,6 +47,13 @@ def _scalar_coupling(d, axial, area, lam):
         * cmath.exp(2j * math.pi * d / lam)
 
 
+def _atom_position(grid, q):
+    # transverse (x, y) of atom q = qx * qy_count + qy, grid centred on the axis
+    qx, qy = divmod(q, grid.qy_count)
+    return ((qx - (grid.qx_count - 1) / 2.0) * grid.spacing,
+            (qy - (grid.qy_count - 1) / 2.0) * grid.spacing)
+
+
 def test_criterion_1_coupling_entries(reference_geometry):
     g = reference_geometry
     lam = g.wavelength
@@ -59,7 +66,7 @@ def test_criterion_1_coupling_entries(reference_geometry):
     for n in range(4):
         xn, yn = g.array_positions[n]
         for q in range(144):
-            xq, yq = first.atom_position(q)
+            xq, yq = _atom_position(first, q)
             d = math.sqrt((xq - xn) ** 2 + (yq - yn) ** 2 + sigma ** 2)
             want = _scalar_coupling(d, sigma, g.antenna_effective_area, lam)
             worst = max(worst, abs(w1[n, q] - want) / abs(want))
@@ -70,9 +77,9 @@ def test_criterion_1_coupling_entries(reference_geometry):
         assert w.shape == (144, 144)
         src, dst = g.layers[ell - 2], g.layers[ell - 1]
         for qp in range(144):
-            xa, ya = src.atom_position(qp)
+            xa, ya = _atom_position(src, qp)
             for q in range(144):
-                xb, yb = dst.atom_position(q)
+                xb, yb = _atom_position(dst, q)
                 d = math.sqrt((xb - xa) ** 2 + (yb - ya) ** 2 + s ** 2)
                 want = _scalar_coupling(d, s, g.meta_atom_area, lam)
                 worst = max(worst, abs(w[qp, q] - want) / abs(want))

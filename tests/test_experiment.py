@@ -159,7 +159,31 @@ class TestRunExperiment:
         assert summary["n_failed"] == 1
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["n_failed"] == 1
-        assert manifest["failed_notes"] == ["flaky"]
+        assert manifest["failed_notes"] == ["TrainingDivergenceError: flaky"]
+
+    def test_any_trial_exception_is_recorded(self, tiny_config, tmp_path, monkeypatch):
+        # a zero channel draw makes the SVD target raise DegenerateChannelError
+        clean = run_trials(tiny_config, workers=1)
+        real = experiment.generate_channel
+        draws = []
+
+        def first_draw_zero(q, k, rng):
+            draws.append(real(q, k, rng))
+            return np.zeros_like(draws[-1]) if len(draws) == 1 else draws[-1]
+        monkeypatch.setattr(experiment, "generate_channel", first_draw_zero)
+        records = run_trials(tiny_config, workers=1)
+        assert records[0].failed
+        assert records[0].note.startswith("DegenerateChannelError")
+        assert not records[1].failed
+        assert records[1].counts == clean[1].counts
+        assert records[1].fit_residual == clean[1].fit_residual
+        # the failure still counts against the tolerance
+        import dataclasses
+        sim = dataclasses.replace(tiny_config.simulation, max_failed_fraction=0.0)
+        draws.clear()
+        with pytest.raises(ExperimentError, match="1/2"):
+            run_experiment(dataclasses.replace(tiny_config, simulation=sim),
+                           tmp_path / "out", workers=1)
 
 
 def test_run_trials_spawns_independent_seeds(tiny_config):

@@ -4,26 +4,67 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from simstack.geometry import (LayerGrid, make_geometry,
-                               pairwise_distance_array_to_layer,
-                               pairwise_distance_layer_to_layer,
-                               transverse_distances)
+from simstack.geometry import LayerGrid, make_geometry, transverse_distances
+
+
+# Scalar oracles: one atom or one pair at a time, in plain Python.
+
+def atom_index(grid, qx, qy):
+    if not (0 <= qx < grid.qx_count and 0 <= qy < grid.qy_count):
+        raise IndexError(f"cell ({qx}, {qy}) outside {grid.qx_count}x{grid.qy_count} grid")
+    return qx * grid.qy_count + qy
+
+
+def atom_cell(grid, q):
+    """Inverse of atom_index."""
+    if not (0 <= q < grid.count):
+        raise IndexError(f"atom index {q} out of range for {grid.count} cells")
+    return divmod(q, grid.qy_count)
+
+
+def atom_position(grid, q):
+    """Transverse (x, y) of atom q; the grid centroid sits at (0, 0)."""
+    qx, qy = atom_cell(grid, q)
+    return ((qx - (grid.qx_count - 1) / 2.0) * grid.spacing,
+            (qy - (grid.qy_count - 1) / 2.0) * grid.spacing)
+
+
+def pairwise_distance_array_to_layer(geometry, n, q):
+    """Distance from antenna n to atom q of the first layer:
+    sqrt((xq - xn)^2 + (yq - yn)^2 + sigma^2) >= sigma."""
+    xn, yn = geometry.array_positions[n]
+    xq, yq = atom_position(geometry.layers[0], q)
+    sigma = geometry.array_to_first_layer
+    return math.sqrt((xq - xn) ** 2 + (yq - yn) ** 2 + sigma ** 2)
+
+
+def pairwise_distance_layer_to_layer(geometry, ell, q_prev, q):
+    """Distance from atom q_prev on layer ell-1 to atom q on layer ell
+    (ell is 1-based, ell >= 2): sqrt(dx^2 + dy^2 + s^2) >= s."""
+    if not (2 <= ell <= geometry.n_layers):
+        raise IndexError(f"layer index {ell} out of range 2..{geometry.n_layers}")
+    xa, ya = atom_position(geometry.layers[ell - 2], q_prev)
+    xb, yb = atom_position(geometry.layers[ell - 1], q)
+    s = geometry.inter_layer_spacing
+    return math.sqrt((xb - xa) ** 2 + (yb - ya) ** 2 + s ** 2)
 
 
 def test_atom_index_row_major():
     grid = LayerGrid(qx_count=3, qy_count=4, spacing=0.5, z_offset=1.0)
     assert grid.count == 12
-    assert grid.atom_index(0, 0) == 0
-    assert grid.atom_index(0, 3) == 3
-    assert grid.atom_index(1, 0) == 4
-    assert grid.atom_index(2, 3) == 11
+    assert atom_index(grid, 0, 0) == 0
+    assert atom_index(grid, 0, 3) == 3
+    assert atom_index(grid, 1, 0) == 4
+    assert atom_index(grid, 2, 3) == 11
 
 
 @given(st.integers(1, 6), st.integers(1, 6))
 def test_atom_index_cell_round_trip(qx, qy):
     grid = LayerGrid(qx_count=qx, qy_count=qy, spacing=0.5, z_offset=1.0)
+    positions = grid.positions()
     for q in range(grid.count):
-        assert grid.atom_index(*grid.atom_cell(q)) == q
+        assert atom_index(grid, *atom_cell(grid, q)) == q
+        assert tuple(positions[q]) == pytest.approx(atom_position(grid, q), abs=1e-15)
 
 
 def test_positions_centered_and_spaced():
@@ -71,12 +112,19 @@ def test_scalar_distance_oracle(small_geometry):
     py = (qy - (grid.qy_count - 1) / 2) * grid.spacing
     want = math.sqrt((ax - px) ** 2 + (ay - py) ** 2 + g.array_to_first_layer ** 2)
     assert np.isclose(pairwise_distance_array_to_layer(g, 1, 7), want, rtol=1e-15)
+    # the vectorized distances the coupling matrices use agree
+    d = transverse_distances(g.antenna_xy(), grid.positions(), g.array_to_first_layer)
+    assert np.isclose(d[1, 7], want, rtol=1e-15)
 
 
 def test_layer_to_layer_distance_min_is_separation(small_geometry):
     # facing atoms are exactly one separation apart
     d = pairwise_distance_layer_to_layer(small_geometry, 2, 5, 5)
     assert np.isclose(d, small_geometry.inter_layer_spacing, rtol=1e-15)
+    layers = small_geometry.layers
+    dense = transverse_distances(layers[0].positions(), layers[1].positions(),
+                                 small_geometry.inter_layer_spacing)
+    assert np.isclose(dense[5, 5], d, rtol=1e-15)
 
 
 def test_transverse_distances_matches_scalar(small_geometry, rng):

@@ -6,9 +6,8 @@ import pytest
 
 from simstack.geometry import make_geometry
 from simstack.propagation import (ForwardOperator, build_w1, build_w_ell,
-                                  compose_forward, coupling_chain,
-                                  coupling_coefficient, radiated_power,
-                                  resolve_chain)
+                                  coupling_chain, coupling_coefficient,
+                                  radiated_power)
 
 
 def _scalar_coupling(d, axial, area, lam):
@@ -16,6 +15,13 @@ def _scalar_coupling(d, axial, area, lam):
     cos_theta = axial / d
     return (area * cos_theta / d) * (1.0 / (2.0 * math.pi * d) - 1j / lam) \
         * cmath.exp(2j * math.pi * d / lam)
+
+
+def _atom_position(grid, q):
+    # transverse (x, y) of atom q = qx * qy_count + qy, grid centred on the axis
+    qx, qy = divmod(q, grid.qy_count)
+    return ((qx - (grid.qx_count - 1) / 2.0) * grid.spacing,
+            (qy - (grid.qy_count - 1) / 2.0) * grid.spacing)
 
 
 def test_w1_entries_scalar_oracle(small_geometry):
@@ -27,7 +33,7 @@ def test_w1_entries_scalar_oracle(small_geometry):
     for n in range(g.n_antennas):
         xn, yn = g.array_positions[n]
         for q in range(g.layers[0].count):
-            xq, yq = g.layers[0].atom_position(q)
+            xq, yq = _atom_position(g.layers[0], q)
             d = math.sqrt((xq - xn) ** 2 + (yq - yn) ** 2 + sigma ** 2)
             want = _scalar_coupling(d, sigma, g.antenna_effective_area, lam)
             assert abs(w1[n, q] - want) <= 1e-12 * abs(want)
@@ -39,9 +45,9 @@ def test_w_ell_entries_scalar_oracle(small_geometry):
     assert w2.shape == (16, 16)
     lam, s = g.wavelength, g.inter_layer_spacing
     for qp in range(16):
-        xa, ya = g.layers[0].atom_position(qp)
+        xa, ya = _atom_position(g.layers[0], qp)
         for q in range(16):
-            xb, yb = g.layers[1].atom_position(q)
+            xb, yb = _atom_position(g.layers[1], q)
             d = math.sqrt((xb - xa) ** 2 + (yb - ya) ** 2 + s ** 2)
             want = _scalar_coupling(d, s, g.meta_atom_area, lam)
             assert abs(w2[qp, q] - want) <= 1e-12 * abs(want)
@@ -87,6 +93,15 @@ def test_chain_shares_identical_layer_couplings(reference_geometry):
 
 def test_chain_is_cached(small_geometry):
     assert coupling_chain(small_geometry) is coupling_chain(small_geometry)
+
+
+def test_cached_chain_is_read_only(small_geometry):
+    # every caller shares the cached matrices, so none may write into them
+    ws = coupling_chain(small_geometry)
+    assert ws[1] is ws[2]
+    with pytest.raises(ValueError):
+        ws[1][0, 0] = 0.0
+    assert not any(w.flags.writeable for w in ws)
 
 
 def _random_taus(chain, rng):
@@ -147,13 +162,6 @@ def test_tau_cogradients_finite_difference(small_geometry, rng):
                 assert abs(fd - want) <= 1e-5 * max(1.0, abs(want))
 
 
-def test_resolve_chain_passthrough(small_geometry):
-    chain = coupling_chain(small_geometry)
-    assert resolve_chain(small_geometry) is chain
-    again = resolve_chain(list(chain))
-    assert all(a is b for a, b in zip(again, chain))
-
-
 def test_radiated_power_bound(small_geometry, rng):
     chain = coupling_chain(small_geometry)
     taus = [np.exp(2j * np.pi * rng.random(w.shape[1])) for w in chain]
@@ -169,11 +177,3 @@ def test_radiated_power_bound(small_geometry, rng):
     g2 = np.linalg.norm(fwd.matrix, ord=2) ** 2
     assert np.isclose(bound_budget, 10.0 * g2)
 
-
-def test_compose_forward_uses_device_taus(small_geometry):
-    from simstack.device import SimDevice
-    dev = SimDevice.from_geometry(small_geometry, ("pc",) * 3,
-                                  rng=np.random.default_rng(0))
-    fwd = compose_forward(coupling_chain(small_geometry), dev)
-    ref = ForwardOperator(coupling_chain(small_geometry), dev.taus())
-    assert np.allclose(fwd.matrix, ref.matrix)
