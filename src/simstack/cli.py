@@ -18,7 +18,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .config import ConfigError, dump_config, load_config
+from .config import ConfigConstraintError, ConfigError, dump_config, load_config
 from .experiment import ExperimentError, read_ber_csv, run_experiment
 from .training import finite_difference_check
 
@@ -30,12 +30,12 @@ def bundled_config_path():
 
 
 def _apply_overrides(cfg, seed=None, trials=None):
-    sim = cfg.simulation
-    if seed is not None:
-        sim = replace(sim, master_seed=seed)
-    if trials is not None:
-        sim = replace(sim, n_trials=trials)
-    return replace(cfg, simulation=sim)
+    changes = {key: value for key, value in (("master_seed", seed), ("n_trials", trials))
+               if value is not None}
+    try:
+        return replace(cfg, simulation=replace(cfg.simulation, **changes))
+    except ValueError as exc:         # the section's range checks
+        raise ConfigConstraintError(f"simulation.{exc}") from exc
 
 
 def _print_results(summary):
@@ -50,13 +50,12 @@ def _print_results(summary):
 
 
 def _cmd_run(args, config_path, default_out, trials_default=None):
+    trials = args.trials if args.trials is not None else trials_default
     try:
-        cfg = load_config(config_path)
+        cfg = _apply_overrides(load_config(config_path), seed=args.seed, trials=trials)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    trials = args.trials if args.trials is not None else trials_default
-    cfg = _apply_overrides(cfg, seed=args.seed, trials=trials)
     out_dir = args.out_dir or default_out
     try:
         summary = run_experiment(cfg, out_dir, workers=args.workers)

@@ -3,22 +3,23 @@ the simulation objects a config describes.
 
 All lengths are in carrier wavelengths (suffix _wl, areas _wl2) with the
 carrier frequency given separately, so a config is frequency-portable.
-Validation is strict: unknown keys, wrong types, and violated cross-field
-constraints are rejected with the offending key named.
+Validation is strict: unknown keys, wrong types, out-of-range values and
+violated cross-field constraints are rejected with the offending key named.
+The section dataclasses are the schema: each states its fields' names,
+types, defaults and ranges once.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
-from .device import SimDevice
-from .geometry import make_geometry
+from .device import LAYER_KINDS, SimDevice
+from .geometry import C0, make_geometry
 from .linklevel import MODULATIONS
-from .optim import OPTIMIZERS
 from .training import TrainingConfig
 
 METHODS = ("no_sim", "model_based", "data_driven")
@@ -37,14 +38,94 @@ class ConfigSchemaError(ConfigError):
 
 
 class ConfigConstraintError(ConfigError):
-    """Cross-field constraint violated by an otherwise well-formed config."""
+    """Out-of-range value or violated cross-field constraint in an otherwise
+    well-formed config."""
+
+
+def _typed(value, types, key):
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ConfigSchemaError(f"{key}: expected {'/'.join(t.__name__ for t in types)}, "
+                                f"got {type(value).__name__} ({value!r})")
+    return value
+
+
+# Readers of the list-valued keys; each tuple field names its own in
+# field(metadata={"read": ...}).
+
+def _int_pair(value, where):
+    if len(value) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
+                                  and v > 0 for v in value):
+        raise ConfigSchemaError(f"{where}: expected a pair of positive integers")
+    return tuple(value)
+
+
+def _number_pair(value, where):
+    if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
+        raise ConfigSchemaError(f"{where}: expected a pair of numbers")
+    return tuple(float(v) for v in value)
+
+
+def _kinds(value, where):
+    kinds = tuple(_typed(v, str, where) for v in value)
+    bad = [k for k in kinds if k not in LAYER_KINDS]
+    if bad:
+        raise ConfigSchemaError(f"{where}: unknown layer kinds {bad}")
+    return kinds
+
+
+def _methods(value, where):
+    methods = tuple(_typed(v, str, where) for v in value)
+    bad = [m for m in methods if m not in METHODS]
+    if bad:
+        raise ConfigSchemaError(f"{where}: unknown methods {bad}; "
+                                f"choose from {list(METHODS)}")
+    if not methods:
+        raise ConfigSchemaError(f"{where}: at least one method required")
+    return methods
+
+
+def _curves(value, where):
+    out = []
+    for i, entry in enumerate(value):
+        loc = f"{where}[{i}]"
+        entry = dict(_typed(entry, dict, loc))
+        mod = _typed(entry.pop("modulation", None), str, f"{loc}.modulation")
+        if mod not in MODULATIONS:
+            raise ConfigSchemaError(f"{loc}.modulation: unknown modulation {mod!r}")
+        grid = _typed(entry.pop("ebn0_db", None), list, f"{loc}.ebn0_db")
+        if not grid or not all(isinstance(v, (int, float)) for v in grid):
+            raise ConfigSchemaError(f"{loc}.ebn0_db: expected a nonempty list of numbers")
+        if entry:
+            raise ConfigSchemaError(f"{loc}: unknown keys {sorted(entry)}")
+        out.append(CurveSpec(mod, tuple(float(v) for v in grid)))
+    if not out:
+        raise ConfigSchemaError(f"{where}: at least one curve required")
+    return tuple(out)
+
+
+# Range checks for __post_init__. A ValueError names the key; parsing
+# prefixes the section.
+
+def _positive(section, *keys):
+    for key in keys:
+        value = getattr(section, key)
+        if not value > 0:
+            raise ValueError(f"{key} must be positive, got {value}")
+
+
+def _at_least(section, low, *keys):
+    for key in keys:
+        value = getattr(section, key)
+        if not value >= low:
+            raise ValueError(f"{key} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
 class GeometrySection:
     n_antennas: int
     n_layers: int
-    layer_cells: tuple            # (qx, qy)
+    layer_cells: tuple = field(metadata={"read": _int_pair})     # (qx, qy)
     carrier_frequency_hz: float
     antenna_spacing_wl: float = 0.5
     array_to_first_layer_wl: float = 14.0
@@ -53,20 +134,24 @@ class GeometrySection:
     antenna_area_wl2: float = 0.25
     meta_atom_area_wl2: float = 0.25
 
+    def __post_init__(self):
+        _at_least(self, 1, "n_antennas", "n_layers")
+        _positive(self, "carrier_frequency_hz", "antenna_spacing_wl",
+                  "array_to_first_layer_wl", "inter_layer_spacing_wl", "cell_spacing_wl",
+                  "antenna_area_wl2", "meta_atom_area_wl2")
+
 
 @dataclass(frozen=True)
 class DeviceSection:
-    layer_kinds: tuple
-    gain_bounds_db: tuple = (-22.0, 13.0)
+    layer_kinds: tuple = field(metadata={"read": _kinds})
+    gain_bounds_db: tuple = field(default=(-22.0, 13.0), metadata={"read": _number_pair})
     pc_amplitude: float = 0.9
 
-
-@dataclass(frozen=True)
-class TrainingSection:
-    pilot_symbols: int = 100
-    iterations: int = 500
-    step_size: float = 1e-2
-    optimizer: str = "adam"
+    def __post_init__(self):
+        if self.gain_bounds_db[1] <= self.gain_bounds_db[0]:
+            raise ValueError(f"gain_bounds_db upper bound must exceed lower, "
+                             f"got {self.gain_bounds_db}")
+        _positive(self, "pc_amplitude")
 
 
 @dataclass(frozen=True)
@@ -74,6 +159,10 @@ class FittingSection:
     iterations: int = 1000
     step_size: float = 0.05
     tolerance: float = 1e-3
+
+    def __post_init__(self):
+        _at_least(self, 0, "iterations", "tolerance")
+        _positive(self, "step_size")
 
 
 @dataclass(frozen=True)
@@ -85,13 +174,23 @@ class CurveSpec:
 @dataclass(frozen=True)
 class SimulationSection:
     n_users: int
-    curves: tuple
+    curves: tuple = field(metadata={"read": _curves})
     total_power: float = None     # resolved to n_users when omitted
     bits_per_user: int = 1000
     n_trials: int = 100
     master_seed: int = 0
-    methods: tuple = METHODS
+    methods: tuple = field(default=METHODS, metadata={"read": _methods})
     max_failed_fraction: float = 0.05
+
+    def __post_init__(self):
+        if self.total_power is None:
+            object.__setattr__(self, "total_power", float(self.n_users))
+        _at_least(self, 1, "n_users", "bits_per_user", "n_trials")
+        _at_least(self, 0, "master_seed")
+        _positive(self, "total_power")
+        if not (0.0 <= self.max_failed_fraction <= 1.0):
+            raise ValueError(f"max_failed_fraction must lie in [0, 1], "
+                             f"got {self.max_failed_fraction}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +204,7 @@ class OutputSection:
 class ExperimentConfig:
     geometry: GeometrySection
     device: DeviceSection
-    training: TrainingSection
+    training: TrainingConfig
     fitting: FittingSection
     simulation: SimulationSection
     output: OutputSection
@@ -119,7 +218,7 @@ class ExperimentConfig:
 
     def build_geometry(self):
         g = self.geometry
-        wavelength = 3.0e8 / g.carrier_frequency_hz
+        wavelength = C0 / g.carrier_frequency_hz
         return make_geometry(
             n_antennas=g.n_antennas,
             antenna_spacing=g.antenna_spacing_wl * wavelength,
@@ -140,12 +239,6 @@ class ExperimentConfig:
                          ac_gain_bounds_db=self.device.gain_bounds_db,
                          rng=rng)
 
-    def training_config(self, snr, seed):
-        t = self.training
-        return TrainingConfig(snr=snr, pilot_symbols=t.pilot_symbols,
-                              iterations=t.iterations, step_size=t.step_size,
-                              optimizer=t.optimizer, seed=seed)
-
 
 def _plain(obj):
     """Tuples to lists, recursively, for YAML/JSON serialization."""
@@ -156,143 +249,34 @@ def _plain(obj):
     return obj
 
 
-def _typed(value, types, key):
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ConfigSchemaError(f"{key}: expected {types}, got bool")
-    if not isinstance(value, types):
-        raise ConfigSchemaError(f"{key}: expected {_type_names(types)}, "
-                                f"got {type(value).__name__} ({value!r})")
-    return value
-
-
-def _type_names(types):
-    if isinstance(types, tuple):
-        return "/".join(t.__name__ for t in types)
-    return types.__name__
-
-
-_REQUIRED = object()
-
-
-def _build_section(raw, section, spec, cls):
-    """spec: key -> (types, default, postprocess)."""
+def _build_section(raw, section, cls):
+    """The dataclass `cls` is the schema: a field without a default is
+    required, `float` takes an int or a float, `int`, `str` and `bool` take
+    exactly their type, and a `tuple` field takes a list that its
+    metadata["read"] reader parses. A ValueError from the dataclass's range
+    checks becomes a ConfigConstraintError."""
     raw = dict(_typed(raw, dict, section))
     kwargs = {}
-    for key, (types, default, post) in spec.items():
-        where = f"{section}.{key}"
-        if key in raw:
-            value = _typed(raw.pop(key), types, where)
-            kwargs[key] = post(value, where) if post else value
-        elif default is _REQUIRED:
-            raise ConfigSchemaError(f"{where}: required key missing")
+    for f in fields(cls):
+        where = f"{section}.{f.name}"
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise ConfigSchemaError(f"{where}: required key missing")
+            continue
+        value = raw.pop(f.name)
+        if f.type is tuple:
+            value = f.metadata["read"](_typed(value, list, where), where)
+        elif f.type is float:
+            value = float(_typed(value, (int, float), where))
+        else:
+            value = _typed(value, f.type, where)
+        kwargs[f.name] = value
     if raw:
         raise ConfigSchemaError(f"{section}: unknown keys {sorted(raw)}")
-    return cls(**kwargs)
-
-
-def _int_pair(value, where):
-    value = list(value)
-    if len(value) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
-                                  and v > 0 for v in value):
-        raise ConfigSchemaError(f"{where}: expected a pair of positive integers")
-    return tuple(value)
-
-
-def _number_pair(value, where):
-    value = list(value)
-    if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
-        raise ConfigSchemaError(f"{where}: expected a pair of numbers")
-    return tuple(float(v) for v in value)
-
-
-def _kinds(value, where):
-    kinds = tuple(_typed(v, str, where) for v in value)
-    bad = [k for k in kinds if k not in ("ac", "pc")]
-    if bad:
-        raise ConfigSchemaError(f"{where}: unknown layer kinds {bad}")
-    return kinds
-
-
-def _methods(value, where):
-    methods = tuple(_typed(v, str, where) for v in value)
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        raise ConfigSchemaError(f"{where}: unknown methods {bad}; "
-                                f"choose from {list(METHODS)}")
-    if not methods:
-        raise ConfigSchemaError(f"{where}: at least one method required")
-    return methods
-
-
-def _curves(value, where):
-    out = []
-    for i, entry in enumerate(_typed(value, list, where)):
-        loc = f"{where}[{i}]"
-        entry = dict(_typed(entry, dict, loc))
-        mod = _typed(entry.pop("modulation", None), str, f"{loc}.modulation")
-        if mod not in MODULATIONS:
-            raise ConfigSchemaError(f"{loc}.modulation: unknown modulation {mod!r}")
-        grid = _typed(entry.pop("ebn0_db", None), list, f"{loc}.ebn0_db")
-        if not grid or not all(isinstance(v, (int, float)) for v in grid):
-            raise ConfigSchemaError(f"{loc}.ebn0_db: expected a nonempty list of numbers")
-        if entry:
-            raise ConfigSchemaError(f"{loc}: unknown keys {sorted(entry)}")
-        out.append(CurveSpec(mod, tuple(float(v) for v in grid)))
-    if not out:
-        raise ConfigSchemaError(f"{where}: at least one curve required")
-    return tuple(out)
-
-
-_NUM = (int, float)
-
-_GEOMETRY_SPEC = {
-    "n_antennas": (int, _REQUIRED, None),
-    "n_layers": (int, _REQUIRED, None),
-    "layer_cells": (list, _REQUIRED, _int_pair),
-    "carrier_frequency_hz": (_NUM, _REQUIRED, lambda v, w: float(v)),
-    "antenna_spacing_wl": (_NUM, 0.5, lambda v, w: float(v)),
-    "array_to_first_layer_wl": (_NUM, 14.0, lambda v, w: float(v)),
-    "inter_layer_spacing_wl": (_NUM, 0.5, lambda v, w: float(v)),
-    "cell_spacing_wl": (_NUM, 0.5, lambda v, w: float(v)),
-    "antenna_area_wl2": (_NUM, 0.25, lambda v, w: float(v)),
-    "meta_atom_area_wl2": (_NUM, 0.25, lambda v, w: float(v)),
-}
-
-_DEVICE_SPEC = {
-    "layer_kinds": (list, _REQUIRED, _kinds),
-    "gain_bounds_db": (list, (-22.0, 13.0), _number_pair),
-    "pc_amplitude": (_NUM, 0.9, lambda v, w: float(v)),
-}
-
-_TRAINING_SPEC = {
-    "pilot_symbols": (int, 100, None),
-    "iterations": (int, 500, None),
-    "step_size": (_NUM, 1e-2, lambda v, w: float(v)),
-    "optimizer": (str, "adam", None),
-}
-
-_FITTING_SPEC = {
-    "iterations": (int, 1000, None),
-    "step_size": (_NUM, 0.05, lambda v, w: float(v)),
-    "tolerance": (_NUM, 1e-3, lambda v, w: float(v)),
-}
-
-_SIMULATION_SPEC = {
-    "n_users": (int, _REQUIRED, None),
-    "curves": (list, _REQUIRED, _curves),
-    "total_power": (_NUM, None, lambda v, w: float(v)),
-    "bits_per_user": (int, 1000, None),
-    "n_trials": (int, 100, None),
-    "master_seed": (int, 0, None),
-    "methods": (list, METHODS, _methods),
-    "max_failed_fraction": (_NUM, 0.05, lambda v, w: float(v)),
-}
-
-_OUTPUT_SPEC = {
-    "csv_prefix": (str, "ber", None),
-    "manifest": (str, "manifest.json", None),
-    "snapshots": (bool, False, None),
-}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigConstraintError(f"{section}.{exc}") from exc
 
 
 def _check_constraints(cfg):
@@ -306,51 +290,32 @@ def _check_constraints(cfg):
         raise ConfigConstraintError(
             f"need layer cells >= geometry.n_antennas >= simulation.n_users, "
             f"got {q} >= {g.n_antennas} >= {s.n_users}")
-    if d.gain_bounds_db[1] <= d.gain_bounds_db[0]:
-        raise ConfigConstraintError(
-            f"device.gain_bounds_db upper bound must exceed lower, got {d.gain_bounds_db}")
     if cfg.training.pilot_symbols < s.n_users:
         raise ConfigConstraintError(
             f"training.pilot_symbols = {cfg.training.pilot_symbols} is fewer than "
             f"simulation.n_users = {s.n_users}")
-    if cfg.training.optimizer not in OPTIMIZERS:
-        raise ConfigConstraintError(
-            f"training.optimizer {cfg.training.optimizer!r} is not one of {sorted(OPTIMIZERS)}")
     for i, curve in enumerate(s.curves):
         bps = int(math.log2(MODULATIONS[curve.modulation]))
         if s.bits_per_user % bps:
             raise ConfigConstraintError(
                 f"simulation.bits_per_user = {s.bits_per_user} does not pack into "
                 f"{bps}-bit symbols of simulation.curves[{i}] ({curve.modulation})")
-    if not (0.0 <= s.max_failed_fraction <= 1.0):
-        raise ConfigConstraintError(
-            f"simulation.max_failed_fraction must lie in [0, 1], got {s.max_failed_fraction}")
-    if s.total_power <= 0:
-        raise ConfigConstraintError(
-            f"simulation.total_power must be positive, got {s.total_power}")
 
 
 def parse_config(raw):
-    """Validate a mapping into an ExperimentConfig."""
+    """Validate a mapping into an ExperimentConfig. A section is required
+    when its dataclass has a required field."""
     raw = dict(_typed(raw, dict, "config"))
     sections = {}
-    for name, spec, cls in (("geometry", _GEOMETRY_SPEC, GeometrySection),
-                            ("device", _DEVICE_SPEC, DeviceSection),
-                            ("training", _TRAINING_SPEC, TrainingSection),
-                            ("fitting", _FITTING_SPEC, FittingSection),
-                            ("simulation", _SIMULATION_SPEC, SimulationSection),
-                            ("output", _OUTPUT_SPEC, OutputSection)):
-        block = raw.pop(name, None)
+    for f in fields(ExperimentConfig):
+        block = raw.pop(f.name, None)
         if block is None:
-            if name in ("geometry", "device", "simulation"):
-                raise ConfigSchemaError(f"{name}: required section missing")
+            if any(g.default is MISSING for g in fields(f.type)):
+                raise ConfigSchemaError(f"{f.name}: required section missing")
             block = {}
-        sections[name] = _build_section(block, name, spec, cls)
+        sections[f.name] = _build_section(block, f.name, f.type)
     if raw:
         raise ConfigSchemaError(f"config: unknown sections {sorted(raw)}")
-    sim = sections["simulation"]
-    if sim.total_power is None:
-        sections["simulation"] = replace(sim, total_power=float(sim.n_users))
     cfg = ExperimentConfig(**sections)
     _check_constraints(cfg)
     return cfg

@@ -19,7 +19,7 @@ with respect to that flat vector.
 import numpy as np
 from scipy.special import expit, logit
 
-_KINDS = ("pc", "ac")
+LAYER_KINDS = ("pc", "ac")
 
 
 def _db_to_linear(db):
@@ -36,7 +36,7 @@ class SimDevice:
         if len(sizes) != len(kinds):
             raise ValueError("one kind per layer required")
         for k in kinds:
-            if k not in _KINDS:
+            if k not in LAYER_KINDS:
                 raise ValueError(f"unknown layer kind {k!r}")
         if rng is None:
             rng = np.random.default_rng()

@@ -88,8 +88,8 @@ def run_trial(cfg, index, trial_seed):
         if "data_driven" in sim.methods:
             dd_rng = np.random.default_rng(streams[3 + 2 * i])
             device = cfg.build_device(dd_rng)
-            _, pre, _ = train(ws, device, h, cfg.training_config(snr, dd_rng),
-                              constellation, sim.total_power)
+            _, pre, _ = train(ws, device, h, cfg.training, constellation, sim.total_power,
+                              snr=snr, seed=dd_rng)
             g_dd = ForwardOperator(ws, device.taus()).matrix
             links["data_driven"] = (effective_channel(pre.matrix, g_dd, h), pre.beta)
             if record.snapshots is not None:
@@ -215,7 +215,7 @@ def run_experiment(cfg, out_dir, workers=1):
     if cfg.output.snapshots:
         _write_snapshots(cfg, out_dir, records)
 
-    frac = len(failed) / max(cfg.simulation.n_trials, 1)
+    frac = len(failed) / cfg.simulation.n_trials
     if frac > cfg.simulation.max_failed_fraction:
         raise ExperimentError(
             f"{len(failed)}/{cfg.simulation.n_trials} trials failed "

@@ -20,30 +20,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import SimDevice
-from .optim import make_optimizer, minimize
+from .optim import OPTIMIZERS, make_optimizer, minimize
 from .precoding import (Precoder, TrainablePrecoder, effective_channel,
                         mmse_precoder, optimal_receiver_scale)
-from .propagation import ForwardOperator, coupling_chain
+from .propagation import ForwardOperator, coupling_chain, radiated_power
 
 
 class TrainingDivergenceError(RuntimeError):
     """Loss blew up twice, once at the configured step size and once at half."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
-    snr: float
     pilot_symbols: int = 100
     iterations: int = 500
     step_size: float = 1e-2
     optimizer: str = "adam"
-    seed: object = None            # anything np.random.default_rng accepts
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.pilot_symbols < 1:
             raise ValueError("pilot_symbols must be positive")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be at least 0, got {self.iterations}")
+        if not self.step_size > 0:
+            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer {self.optimizer!r} is not one of {sorted(OPTIMIZERS)}")
 
 
 @dataclass
@@ -83,9 +85,11 @@ def _loss_and_cograds(b, p, g, h, noise):
     return loss, beta, cog_p, cog_g
 
 
-def train(ws, device, h, config, constellation, total_power):
+def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     """Train the device and a power-constrained precoder against one
-    channel realization, through the coupling chain `ws`. Returns
+    channel realization at link SNR `snr`, through the coupling chain `ws`.
+    The pilot block and the noise come from np.random.default_rng(seed).
+    Returns
     (device, Precoder, LossReport); `device` is mutated to (and returned
     at) the best-loss iterate.
 
@@ -100,14 +104,14 @@ def train(ws, device, h, config, constellation, total_power):
     if config.pilot_symbols < k:
         raise ValueError(f"pilot block of {config.pilot_symbols} symbols "
                          f"cannot excite {k} users")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     s = config.pilot_symbols
     b = constellation.points[rng.integers(0, constellation.order, (s, k))]
-    sigma2 = total_power / (k * config.snr)
+    sigma2 = total_power / (k * snr)
     noise_scale = np.sqrt(sigma2 / 2.0)
 
     g0 = ForwardOperator(ws, device.taus()).matrix
-    tp = TrainablePrecoder(total_power, mmse_precoder(g0, h, config.snr, total_power).matrix)
+    tp = TrainablePrecoder(total_power, mmse_precoder(g0, h, snr, total_power).matrix)
     n = device.n_params
     x0 = np.concatenate([device.flat(), tp.flat()])
     start = rng.bit_generator.state      # restarts replay the same noise
@@ -149,7 +153,7 @@ def train(ws, device, h, config, constellation, total_power):
         p, f = -p, -f
     report.losses = losses
     report.beta = optimal_receiver_scale(f, sigma2)
-    report.radiated_power = float(np.linalg.norm(p @ g) ** 2)
+    report.radiated_power = radiated_power(p, g)[0]
     return device, Precoder(p, total_power, report.beta), report
 
 

@@ -250,7 +250,7 @@ def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config
         dev_dd = SimDevice.from_geometry(geometry, kinds,
                                          pc_amplitude=cfg.device.pc_amplitude,
                                          rng=rng)
-        train(ws, dev_dd, h, cfg.training_config(snr, rng), qpsk, total_power)
+        train(ws, dev_dd, h, cfg.training, qpsk, total_power, snr=snr, seed=rng)
         g_dd = ForwardOperator(ws, dev_dd.taus()).matrix
         mse_dd = closed_form_mse(g_dd, h, snr)
         diffs.append(mse_dd - mse_mb)

@@ -1,13 +1,16 @@
-import copy
+from dataclasses import fields
 
 import pytest
 import yaml
 
 from simstack.cli import bundled_config_path, main
 from simstack.config import (ConfigConstraintError, ConfigFileError,
-                             ConfigSchemaError, dump_config, load_config,
-                             parse_config)
+                             ConfigSchemaError, CurveSpec, DeviceSection,
+                             ExperimentConfig, FittingSection, GeometrySection,
+                             OutputSection, SimulationSection, dump_config,
+                             load_config, parse_config)
 from simstack.experiment import read_ber_csv
+from simstack.training import TrainingConfig
 
 
 @pytest.fixture
@@ -45,13 +48,8 @@ class TestBundledConfig:
         assert dev.kinds == ["ac", "ac"] + ["pc"] * 6
 
     def test_training_config_mapping(self, reference_config):
-        tc = reference_config.training_config(snr=5.0, seed=3)
-        assert tc.snr == 5.0
-        assert tc.pilot_symbols == 100
-        assert tc.iterations == 1200
-        assert tc.step_size == 0.02
-        assert tc.optimizer == "adam"
-        assert tc.seed == 3
+        assert reference_config.training == TrainingConfig(
+            pilot_symbols=100, iterations=1200, step_size=0.02, optimizer="adam")
 
 
 class TestValidation:
@@ -159,6 +157,46 @@ class TestValidation:
         with pytest.raises(ConfigConstraintError, match="max_failed_fraction"):
             parse_config(tiny_raw)
 
+    # values that validation used to accept and the run then failed on
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "step_size", -1),
+        ("geometry", "carrier_frequency_hz", -1),
+        ("geometry", "cell_spacing_wl", 0),
+        ("simulation", "n_trials", 0),
+        ("simulation", "n_trials", -1),
+        ("simulation", "bits_per_user", 0),
+        ("simulation", "master_seed", -1),
+        ("fitting", "iterations", -1),
+    ])
+    def test_out_of_range_value(self, tiny_raw, section, key, value):
+        tiny_raw[section][key] = value
+        with pytest.raises(ConfigConstraintError, match=f"{section}.{key}"):
+            parse_config(tiny_raw)
+
+
+class TestSchema:
+    def test_omitted_keys_take_dataclass_defaults(self):
+        raw = {"geometry": {"n_antennas": 2, "n_layers": 2, "layer_cells": [4, 4],
+                            "carrier_frequency_hz": 3.0e8},
+               "device": {"layer_kinds": ["ac", "pc"]},
+               "simulation": {"n_users": 2,
+                              "curves": [{"modulation": "qpsk", "ebn0_db": [4.0]}]}}
+        cfg = parse_config(raw)
+        assert cfg.geometry == GeometrySection(n_antennas=2, n_layers=2, layer_cells=(4, 4),
+                                               carrier_frequency_hz=3.0e8)
+        assert cfg.device == DeviceSection(layer_kinds=("ac", "pc"))
+        assert cfg.training == TrainingConfig()
+        assert cfg.fitting == FittingSection()
+        assert cfg.simulation == SimulationSection(
+            n_users=2, curves=(CurveSpec("qpsk", (4.0,)),))
+        assert cfg.output == OutputSection()
+
+    def test_dump_lists_dataclass_fields(self, reference_config):
+        dumped = yaml.safe_load(dump_config(reference_config))
+        assert list(dumped) == [f.name for f in fields(ExperimentConfig)]
+        for section in fields(ExperimentConfig):
+            assert list(dumped[section.name]) == [f.name for f in fields(section.type)]
+
 
 class TestRoundTrip:
     def test_dump_load_fixed_point(self, reference_config):
@@ -192,6 +230,20 @@ class TestCli:
         rc = main(["run", str(tmp_path / "nope.yaml"), "--workers", "1",
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--trials", "0", "simulation.n_trials"),
+        ("--seed", "-1", "simulation.master_seed"),
+    ])
+    def test_run_rejects_out_of_range_override(self, tmp_path, tiny_config_text, capsys,
+                                               flag, value, key):
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(tiny_config_text)
+        rc = main(["run", str(cfg_path), "--workers", "1",
+                   "--out-dir", str(tmp_path / "out"), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
 
     def test_gradcheck_passes(self, capsys):
         rc = main(["gradcheck"])

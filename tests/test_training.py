@@ -71,16 +71,15 @@ class TestEmpiricalMse:
 class TestTrainingConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            TrainingConfig(snr=10.0, step_size=0.0)
+            TrainingConfig(step_size=0.0)
         with pytest.raises(ValueError):
-            TrainingConfig(snr=10.0, pilot_symbols=0)
+            TrainingConfig(pilot_symbols=0)
 
 
-def _train_setup(seed=123, iterations=60):
+def _train_setup(iterations=60):
     channel_rng = np.random.default_rng(777)
     h = generate_channel(16, 2, channel_rng)
-    config = TrainingConfig(snr=10.0, pilot_symbols=32, iterations=iterations,
-                            step_size=0.02, seed=seed)
+    config = TrainingConfig(pilot_symbols=32, iterations=iterations, step_size=0.02)
     return h, config
 
 
@@ -90,7 +89,7 @@ class TestTrain:
         device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
                                          rng=np.random.default_rng(4))
         device, pre, report = train(coupling_chain(small_geometry), device, h, config,
-                                    QPSK, total_power=2.0)
+                                    QPSK, total_power=2.0, snr=10.0, seed=123)
         assert isinstance(report, LossReport)
         assert len(report.losses) == config.iterations
         assert min(report.losses) <= report.losses[0]
@@ -107,7 +106,7 @@ class TestTrain:
         for _ in range(2):
             dev = copy.deepcopy(base)
             dev, pre, report = train(coupling_chain(small_geometry), dev, h, config,
-                                     QPSK, total_power=2.0)
+                                     QPSK, total_power=2.0, snr=10.0, seed=123)
             out.append((dev.flat(), pre.matrix, tuple(report.losses)))
         assert np.array_equal(out[0][0], out[1][0])
         assert np.array_equal(out[0][1], out[1][1])
@@ -119,25 +118,23 @@ class TestTrain:
                                        rng=np.random.default_rng(4))
         losses = []
         for seed in (1, 2):
-            config = TrainingConfig(snr=10.0, pilot_symbols=32, iterations=10,
-                                    step_size=0.02, seed=seed)
+            config = TrainingConfig(pilot_symbols=32, iterations=10, step_size=0.02)
             _, _, report = train(coupling_chain(small_geometry), copy.deepcopy(base), h, config,
-                                 QPSK, total_power=2.0)
+                                 QPSK, total_power=2.0, snr=10.0, seed=seed)
             losses.append(tuple(report.losses))
         assert losses[0] != losses[1]
 
     def test_zero_iterations_keeps_mmse_init(self, small_geometry):
         h, _ = _train_setup()
-        config = TrainingConfig(snr=10.0, pilot_symbols=32, iterations=0,
-                                step_size=0.02, seed=9)
+        config = TrainingConfig(pilot_symbols=32, iterations=0, step_size=0.02)
         device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
                                          rng=np.random.default_rng(4))
         x0 = device.flat().copy()
         g0 = ForwardOperator(coupling_chain(small_geometry),
                              device.taus()).matrix
-        p0 = mmse_precoder(g0, h, config.snr, 2.0).matrix
+        p0 = mmse_precoder(g0, h, 10.0, 2.0).matrix
         device, pre, report = train(coupling_chain(small_geometry), device, h, config,
-                                    QPSK, total_power=2.0)
+                                    QPSK, total_power=2.0, snr=10.0, seed=9)
         assert np.array_equal(device.flat(), x0)
         assert np.allclose(pre.matrix, p0, rtol=1e-12)
         assert len(report.losses) == 1
@@ -148,46 +145,47 @@ class TestTrain:
         device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
                                          rng=np.random.default_rng(4))
         device, pre, report = train(coupling_chain(small_geometry), device, h, config,
-                                    QPSK, total_power=2.0)
+                                    QPSK, total_power=2.0, snr=10.0, seed=123)
         assert min(report.losses) < report.losses[0]
 
     def test_rejects_pilot_block_smaller_than_users(self, small_geometry):
         h, _ = _train_setup()
-        config = TrainingConfig(snr=10.0, pilot_symbols=1, iterations=5,
-                                step_size=0.02, seed=9)
+        config = TrainingConfig(pilot_symbols=1, iterations=5, step_size=0.02)
         device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
                                          rng=np.random.default_rng(4))
         with pytest.raises(ValueError):
-            train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0)
+            train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
+                  snr=10.0, seed=9)
 
     def test_divergence_raises_after_retry(self, small_geometry):
         h, _ = _train_setup()
         # near-noiseless start so the scrambled loss clears the 10x threshold
-        config = TrainingConfig(snr=1e4, pilot_symbols=32, iterations=50,
-                                step_size=1e8, optimizer="sgd", seed=5)
+        config = TrainingConfig(pilot_symbols=32, iterations=50, step_size=1e8,
+                                optimizer="sgd")
         device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
                                          rng=np.random.default_rng(4))
         with pytest.raises(TrainingDivergenceError):
-            train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0)
+            train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
+                  snr=1e4, seed=5)
 
     def test_sign_flipped_precoder_gets_positive_scale(self, small_geometry, monkeypatch):
         # the pilot loss cannot tell P from -P; the returned precoder must
         # still carry a positive receiver scale
         h, _ = _train_setup()
-        config = TrainingConfig(snr=10.0, pilot_symbols=32, iterations=0,
-                                step_size=0.02, seed=9)
+        config = TrainingConfig(pilot_symbols=32, iterations=0, step_size=0.02)
         device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
                                          rng=np.random.default_rng(4))
         ws = coupling_chain(small_geometry)
         p = mmse_precoder(ForwardOperator(ws, device.taus()).matrix, h,
-                          config.snr, 2.0).matrix
+                          10.0, 2.0).matrix
 
         def flipped(*args):
             pre = mmse_precoder(*args)
             return Precoder(-pre.matrix, pre.total_power, pre.beta)
 
         monkeypatch.setattr("simstack.training.mmse_precoder", flipped)
-        device, pre, report = train(ws, device, h, config, QPSK, total_power=2.0)
+        device, pre, report = train(ws, device, h, config, QPSK, total_power=2.0,
+                                    snr=10.0, seed=9)
         assert pre.beta > 0 and report.beta == pre.beta
         assert np.array_equal(pre.matrix, TrainablePrecoder(2.0, p).matrix())
         assert np.allclose(pre.matrix, p, rtol=1e-12)
