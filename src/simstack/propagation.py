@@ -114,7 +114,9 @@ class ForwardOperator:
         for ell in range(len(self.w_list) - 1, -1, -1):
             out[ell] = np.sum(np.conj(self.prefixes[ell]) * msg, axis=0)
             if ell > 0:
-                msg = (msg * np.conj(self.taus[ell])[None, :]) @ self.w_list[ell].conj().T
+                # (msg diag(conj tau)) W^H, conjugating the small factor
+                # instead of copying conj(W) on every sweep
+                msg = np.conj((np.conj(msg) * self.taus[ell][None, :]) @ self.w_list[ell].T)
         return out
 
 
