@@ -7,15 +7,14 @@ __version__ = "0.1.0"
 
 from .cli import bundled_config_path
 from .config import ExperimentConfig, load_config, parse_config
-from .design import FitResult, SvdDesign, fit_sim_to_target, svd_target
+from .design import FitResult, fit_sim_to_target, svd_target
 from .device import SimDevice
 from .experiment import aggregate, run_experiment, run_trial
 from .geometry import LayerGrid, SimGeometry, make_geometry
 from .linklevel import (Constellation, constellation_for, generate_channel,
                         make_constellation, simulate_block)
 from .precoding import (Precoder, TrainablePrecoder, closed_form_mse,
-                        effective_channel, mmse_precoder,
-                        mse_with_optimal_scale, spectral_mse)
+                        effective_channel, mmse_precoder)
 from .propagation import ForwardOperator, coupling_chain, radiated_power
 from .training import (LossReport, TrainingConfig, TrainingDivergenceError,
                        empirical_mse, finite_difference_check, train)
@@ -23,13 +22,12 @@ from .training import (LossReport, TrainingConfig, TrainingDivergenceError,
 __all__ = [
     "Constellation", "ExperimentConfig", "FitResult", "ForwardOperator",
     "LayerGrid", "LossReport", "Precoder", "SimDevice", "SimGeometry",
-    "SvdDesign", "TrainablePrecoder", "TrainingConfig",
-    "TrainingDivergenceError", "aggregate", "bundled_config_path",
-    "closed_form_mse",
+    "TrainablePrecoder", "TrainingConfig", "TrainingDivergenceError",
+    "aggregate", "bundled_config_path", "closed_form_mse",
     "constellation_for", "coupling_chain", "effective_channel",
     "empirical_mse", "finite_difference_check", "fit_sim_to_target",
     "generate_channel", "load_config", "make_constellation", "make_geometry",
-    "mmse_precoder", "mse_with_optimal_scale", "parse_config",
+    "mmse_precoder", "parse_config",
     "radiated_power", "run_experiment", "run_trial", "simulate_block",
-    "spectral_mse", "svd_target", "train",
+    "svd_target", "train",
 ]

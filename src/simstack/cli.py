@@ -50,6 +50,10 @@ def _print_results(summary):
 
 
 def _cmd_run(args, config_path, default_out, trials_default=None):
+    if args.workers < 1:
+        print(f"usage error: --workers must be at least 1, got {args.workers}",
+              file=sys.stderr)
+        return 2
     trials = args.trials if args.trials is not None else trials_default
     try:
         cfg = _apply_overrides(load_config(config_path), seed=args.seed, trials=trials)

@@ -114,6 +114,10 @@ def _positive(section, *keys):
             raise ValueError(f"{key} must be positive, got {value}")
 
 
+def _has_separator(name):
+    return "/" in name or "\\" in name
+
+
 def _at_least(section, low, *keys):
     for key in keys:
         value = getattr(section, key)
@@ -199,6 +203,14 @@ class OutputSection:
     manifest: str = "manifest.json"
     snapshots: bool = False
 
+    def __post_init__(self):
+        # both name files inside the result directory
+        if _has_separator(self.csv_prefix):
+            raise ValueError(f"csv_prefix must not contain a path separator, "
+                             f"got {self.csv_prefix!r}")
+        if self.manifest in ("", ".", "..") or _has_separator(self.manifest):
+            raise ValueError(f"manifest must be a plain file name, got {self.manifest!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -232,8 +244,7 @@ class ExperimentConfig:
             meta_atom_area=g.meta_atom_area_wl2 * wavelength ** 2)
 
     def build_device(self, rng=None):
-        return SimDevice([self.geometry.layer_cells[0] * self.geometry.layer_cells[1]]
-                         * self.geometry.n_layers,
+        return SimDevice(self.geometry.layer_cells[0] * self.geometry.layer_cells[1],
                          self.device.layer_kinds,
                          pc_amplitude=self.device.pc_amplitude,
                          ac_gain_bounds_db=self.device.gain_bounds_db,

@@ -22,18 +22,12 @@ class DegenerateChannelError(ValueError):
     """Channel matrix is numerically rank-deficient."""
 
 
-@dataclass(frozen=True)
-class SvdDesign:
-    left_vectors: np.ndarray      # Q x N, orthonormal columns
-    singular_values: np.ndarray   # K, nonincreasing
-    target_forward: np.ndarray    # N x Q
-
-
 def svd_target(h, n):
-    """Target response for an N-antenna transmitter over channel h (Q x K).
+    """Target response T (N x Q) for an N-antenna transmitter over channel
+    h (Q x K): the conjugate transpose of h's top N left singular vectors.
 
-    Requires Q >= n >= K and full column rank; with G = target_forward,
-    G h has exactly the top-K singular values of h.
+    Requires Q >= n >= K and full column rank; T h has exactly the
+    singular values of h.
     """
     h = np.asarray(h)
     q, k = h.shape
@@ -42,8 +36,7 @@ def svd_target(h, n):
     u, s, _ = np.linalg.svd(h)
     if s[-1] <= 1e-12 * s[0]:
         raise DegenerateChannelError(f"smallest singular value {s[-1]} vs largest {s[0]}")
-    left = u[:, :n]
-    return SvdDesign(left_vectors=left, singular_values=s, target_forward=left.conj().T)
+    return u[:, :n].conj().T
 
 
 @dataclass

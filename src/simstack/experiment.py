@@ -54,18 +54,17 @@ def run_trial(cfg, index, trial_seed):
     geometry = cfg.build_geometry()
     ws = coupling_chain(geometry)
     k, n = sim.n_users, cfg.geometry.n_antennas
-    q_last = geometry.layers[-1].count
     points = _points(cfg)
     streams = trial_seed.spawn(3 + 2 * len(points))
 
-    h = generate_channel(q_last, k, np.random.default_rng(streams[0]))
+    h = generate_channel(geometry.grid.count, k, np.random.default_rng(streams[0]))
     h_direct = generate_channel(n, k, np.random.default_rng(streams[1]))
 
     record = TrialRecord(index, snapshots={} if cfg.output.snapshots else None)
     g_fit = None
     if "model_based" in sim.methods:
         device = cfg.build_device(np.random.default_rng(streams[2]))
-        fit = fit_sim_to_target(ws, device, svd_target(h, n).target_forward,
+        fit = fit_sim_to_target(ws, device, svd_target(h, n),
                                 iterations=cfg.fitting.iterations,
                                 step_size=cfg.fitting.step_size,
                                 tolerance=cfg.fitting.tolerance)

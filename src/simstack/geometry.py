@@ -1,10 +1,11 @@
 """Transmit-array and metasurface-layer geometry.
 
 A transmitter is a small uniform planar array (UPA) at z = 0 feeding a stack
-of L programmable metasurface layers. Layer l sits at z = sigma + (l-1)*s,
-where sigma is the array-to-first-layer standoff and s the inter-layer
-spacing. Meta-atoms on each layer form a centered rectangular grid; the 2-D
-cell (q_x, q_y) maps to the 1-D index q = q_x * qy_count + q_y (row-major).
+of L identical programmable metasurface layers. Layer l sits at
+z = sigma + (l-1)*s, where sigma is the array-to-first-layer standoff and s
+the inter-layer spacing. The meta-atoms of every layer form the same
+centered rectangular grid of Q cells; the 2-D cell (q_x, q_y) maps to the
+1-D index q = q_x * qy_count + q_y (row-major).
 
 All coordinates and lengths are in meters.
 """
@@ -20,21 +21,18 @@ C0 = 3.0e8
 
 @dataclass(frozen=True)
 class LayerGrid:
-    """One metasurface layer: a qx_count x qy_count grid with pitch `spacing`,
-    centered on the stack axis, at distance `z_offset` from the array plane."""
+    """The atom grid of every layer: qx_count x qy_count cells with pitch
+    `spacing`, centered on the stack axis."""
 
     qx_count: int
     qy_count: int
     spacing: float
-    z_offset: float
 
     def __post_init__(self):
         if self.qx_count < 1 or self.qy_count < 1:
             raise ValueError("grid counts must be >= 1")
         if self.spacing <= 0:
             raise ValueError("grid spacing must be positive")
-        if self.z_offset <= 0:
-            raise ValueError("layer z_offset must be positive")
 
     @property
     def count(self):
@@ -67,24 +65,24 @@ class SimGeometry:
     array_positions      transverse (x, y) of the N antennas at z = 0
     array_to_first_layer standoff sigma between array and layer 1
     inter_layer_spacing  spacing s between consecutive layers
-    layers               L LayerGrid entries, z_offset = sigma + (l-1)*s
+    grid                 the LayerGrid shared by all layers
+    n_layers             L
     carrier_frequency    f0 in Hz; wavelength = C0 / f0
     antenna_effective_area / meta_atom_area
                          radiating areas entering the coupling coefficients
-    antenna_spacing      UPA pitch (kept for bookkeeping/serialization)
     """
 
     array_positions: tuple
     array_to_first_layer: float
     inter_layer_spacing: float
-    layers: tuple
+    grid: LayerGrid
+    n_layers: int
     carrier_frequency: float
     antenna_effective_area: float
     meta_atom_area: float
-    antenna_spacing: float
 
     def __post_init__(self):
-        if len(self.layers) == 0:
+        if self.n_layers < 1:
             raise ValueError("geometry needs at least one layer")
         if self.array_to_first_layer <= 0 or self.inter_layer_spacing <= 0:
             raise ValueError("axial spacings must be positive")
@@ -92,20 +90,10 @@ class SimGeometry:
             raise ValueError("carrier frequency must be positive")
         if self.antenna_effective_area <= 0 or self.meta_atom_area <= 0:
             raise ValueError("radiating areas must be positive")
-        sigma, s = self.array_to_first_layer, self.inter_layer_spacing
-        for i, grid in enumerate(self.layers):
-            expect = sigma + i * s
-            if abs(grid.z_offset - expect) > 1e-9 * max(1.0, expect):
-                raise ValueError(
-                    f"layer {i + 1} z_offset {grid.z_offset} != sigma + {i}*s = {expect}")
 
     @property
     def n_antennas(self):
         return len(self.array_positions)
-
-    @property
-    def n_layers(self):
-        return len(self.layers)
 
     @property
     def wavelength(self):
@@ -118,30 +106,18 @@ class SimGeometry:
 def make_geometry(n_antennas, antenna_spacing, array_to_first_layer,
                   inter_layer_spacing, n_layers, layer_cells, cell_spacing,
                   carrier_frequency, antenna_effective_area, meta_atom_area):
-    """Build a SimGeometry from scalar parameters (all lengths in meters).
-
-    layer_cells is either one (qx, qy) pair used for every layer, or a
-    sequence of n_layers pairs for per-layer cell counts.
-    """
-    if np.isscalar(layer_cells[0]):
-        cells = [tuple(layer_cells)] * n_layers
-    else:
-        cells = [tuple(c) for c in layer_cells]
-    if len(cells) != n_layers:
-        raise ValueError(f"{len(cells)} cell-count pairs for {n_layers} layers")
-    grids = tuple(
-        LayerGrid(qx, qy, cell_spacing,
-                  array_to_first_layer + i * inter_layer_spacing)
-        for i, (qx, qy) in enumerate(cells))
+    """Build a SimGeometry from scalar parameters (all lengths in meters);
+    every layer is a layer_cells = (qx, qy) grid."""
+    qx, qy = layer_cells
     return SimGeometry(
         array_positions=_centered_square_array(n_antennas, antenna_spacing),
         array_to_first_layer=array_to_first_layer,
         inter_layer_spacing=inter_layer_spacing,
-        layers=grids,
+        grid=LayerGrid(qx, qy, cell_spacing),
+        n_layers=n_layers,
         carrier_frequency=carrier_frequency,
         antenna_effective_area=antenna_effective_area,
         meta_atom_area=meta_atom_area,
-        antenna_spacing=antenna_spacing,
     )
 
 

@@ -153,7 +153,7 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
         p, f = -p, -f
     report.losses = losses
     report.beta = optimal_receiver_scale(f, sigma2)
-    report.radiated_power = radiated_power(p, g)[0]
+    report.radiated_power = radiated_power(p, g)
     return device, Precoder(p, total_power, report.beta), report
 
 
@@ -176,7 +176,7 @@ def finite_difference_check(step=1e-4, seed=7, snr=10.0):
                              carrier_frequency=3.0e8, antenna_effective_area=0.25,
                              meta_atom_area=0.25)
     ws = coupling_chain(geometry)
-    device = SimDevice([16, 16, 16], ["ac", "pc", "pc"], rng=rng)
+    device = SimDevice(geometry.grid.count, ["ac", "pc", "pc"], rng=rng)
     k, n, s = 2, 2, 16
     total_power = float(k)
     h = (rng.standard_normal((16, k)) + 1j * rng.standard_normal((16, k))) / np.sqrt(2)

@@ -39,13 +39,14 @@ class TestBundledConfig:
         assert reference_geometry.array_to_first_layer == pytest.approx(14.0 * lam)
         assert reference_geometry.inter_layer_spacing == pytest.approx(0.5 * lam)
         assert reference_geometry.meta_atom_area == pytest.approx(0.25 * lam ** 2)
-        assert reference_geometry.layers[0].count == 144
+        assert reference_geometry.grid.count == 144
+        assert reference_geometry.n_layers == 8
 
     def test_build_device(self, reference_config):
         import numpy as np
         dev = reference_config.build_device(np.random.default_rng(0))
-        assert dev.sizes == [144] * 8
-        assert dev.kinds == ["ac", "ac"] + ["pc"] * 6
+        assert dev.params.shape == (8, 144)
+        assert dev.pc.tolist() == [False, False] + [True] * 6
 
     def test_training_config_mapping(self, reference_config):
         assert reference_config.training == TrainingConfig(
@@ -167,9 +168,15 @@ class TestValidation:
         ("simulation", "bits_per_user", 0),
         ("simulation", "master_seed", -1),
         ("fitting", "iterations", -1),
+        ("output", "manifest", ""),
+        ("output", "manifest", "."),
+        ("output", "manifest", ".."),
+        ("output", "manifest", "results/manifest.json"),
+        ("output", "manifest", "..\\manifest.json"),
+        ("output", "csv_prefix", "results/ber"),
     ])
     def test_out_of_range_value(self, tiny_raw, section, key, value):
-        tiny_raw[section][key] = value
+        tiny_raw.setdefault(section, {})[key] = value
         with pytest.raises(ConfigConstraintError, match=f"{section}.{key}"):
             parse_config(tiny_raw)
 
@@ -244,6 +251,19 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+
+    @pytest.mark.parametrize("command", ["run", "demo"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_run_rejects_bad_worker_count(self, tmp_path, tiny_config_text, capsys,
+                                          command, workers):
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(tiny_config_text)
+        args = [command] + ([str(cfg_path)] if command == "run" else [])
+        rc = main(args + ["--workers", workers, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--workers" in err and workers in err
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_passes(self, capsys):
         rc = main(["gradcheck"])

@@ -23,26 +23,27 @@ def _forward(geometry, device):
 class TestSvdTarget:
     def test_orthonormal_left_vectors(self, rng):
         h = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
-        design = svd_target(h, 4)
-        left = design.left_vectors
-        assert left.shape == (16, 4)
+        target = svd_target(h, 4)
+        assert target.shape == (4, 16)
+        left = np.linalg.svd(h)[0][:, :4]
+        assert np.allclose(target, left.conj().T)
         assert np.allclose(left.conj().T @ left, np.eye(4), atol=1e-12)
-        assert np.allclose(design.target_forward, left.conj().T)
+        # h's columns lie in the span of the target's rows
+        assert np.allclose(left @ (target @ h), h, atol=1e-12)
 
     def test_target_preserves_channel_singular_values(self, rng):
         h = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
-        design = svd_target(h, 4)
-        s_eff = np.linalg.svd(design.target_forward @ h, compute_uv=False)
+        target = svd_target(h, 4)
+        s_eff = np.linalg.svd(target @ h, compute_uv=False)
         s_h = np.linalg.svd(h, compute_uv=False)
         assert np.allclose(np.sort(s_eff), np.sort(s_h), rtol=1e-12)
-        assert np.all(np.diff(design.singular_values) <= 1e-12)
 
     def test_scaled_isometry_channel(self, rng):
         # h with orthonormal columns scaled by c has all singular values c
         a = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
         qmat, _ = np.linalg.qr(a)
-        design = svd_target(2.5 * qmat, 3)
-        s_eff = np.linalg.svd(design.target_forward @ (2.5 * qmat),
+        target = svd_target(2.5 * qmat, 3)
+        s_eff = np.linalg.svd(target @ (2.5 * qmat),
                               compute_uv=False)
         assert np.allclose(s_eff, 2.5, rtol=1e-12)
 
@@ -63,11 +64,9 @@ class TestSvdTarget:
 class TestFit:
     def test_single_layer_recovers_expressible_target(self):
         geom = _geometry(1)
-        teacher = SimDevice.from_geometry(geom, ("pc",),
-                                          rng=np.random.default_rng(11))
+        teacher = SimDevice(16, ("pc",), rng=np.random.default_rng(11))
         target = _forward(geom, teacher)
-        student = SimDevice.from_geometry(geom, ("pc",),
-                                          rng=np.random.default_rng(22))
+        student = SimDevice(16, ("pc",), rng=np.random.default_rng(22))
         result = fit_sim_to_target(coupling_chain(geom), student, target,
                                    iterations=4000, step_size=0.05,
                                    tolerance=1e-3)
@@ -79,10 +78,9 @@ class TestFit:
 
     def test_deep_stack_improves_over_start(self, rng):
         geom = _geometry(3)
-        device = SimDevice.from_geometry(geom, ("pc", "pc", "pc"),
-                                         rng=np.random.default_rng(5))
+        device = SimDevice(16, ("pc", "pc", "pc"), rng=np.random.default_rng(5))
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
-        target = svd_target(h, 2).target_forward
+        target = svd_target(h, 2)
         start = np.linalg.norm(_forward(geom, device) - target) \
             / np.linalg.norm(target)
         result = fit_sim_to_target(coupling_chain(geom), device, target,
@@ -95,10 +93,9 @@ class TestFit:
         # huge step size makes the trajectory bounce; device must still end
         # at the best visited point
         geom = _geometry(2)
-        device = SimDevice.from_geometry(geom, ("pc", "pc"),
-                                         rng=np.random.default_rng(8))
+        device = SimDevice(16, ("pc", "pc"), rng=np.random.default_rng(8))
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
-        target = svd_target(h, 2).target_forward
+        target = svd_target(h, 2)
         result = fit_sim_to_target(coupling_chain(geom), device, target,
                                    iterations=50, step_size=5.0)
         achieved = np.linalg.norm(_forward(geom, device) - target) \
@@ -107,11 +104,10 @@ class TestFit:
 
     def test_zero_iterations_reports_initial_state(self, rng):
         geom = _geometry(2)
-        device = SimDevice.from_geometry(geom, ("pc", "pc"),
-                                         rng=np.random.default_rng(8))
+        device = SimDevice(16, ("pc", "pc"), rng=np.random.default_rng(8))
         x0 = device.flat().copy()
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
-        target = svd_target(h, 2).target_forward
+        target = svd_target(h, 2)
         result = fit_sim_to_target(coupling_chain(geom), device, target, iterations=0)
         assert result.n_iterations == 0
         assert np.array_equal(device.flat(), x0)
@@ -121,15 +117,14 @@ class TestFit:
 
     def test_zero_target_drives_amplitudes_to_floor(self):
         geom = _geometry(1)
-        device = SimDevice.from_geometry(geom, ("ac",),
-                                         rng=np.random.default_rng(2))
-        start = device.amplitudes()[0].copy()
+        device = SimDevice(16, ("ac",), rng=np.random.default_rng(2))
+        start = np.abs(device.taus()[0])
         result = fit_sim_to_target(coupling_chain(geom), device,
                                    np.zeros((2, 16), dtype=complex),
                                    iterations=600, step_size=0.05)
         assert isinstance(result, FitResult)
         floor = device.alpha_min
-        amps = device.amplitudes()[0]
+        amps = np.abs(device.taus()[0])
         # Adam creeps through the last stretch; near the floor is enough
         assert np.all(amps < start)
         assert np.all(amps < floor + 0.05 * (start.mean() - floor))

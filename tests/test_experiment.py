@@ -185,6 +185,33 @@ class TestRunExperiment:
             run_experiment(dataclasses.replace(tiny_config, simulation=sim),
                            tmp_path / "out", workers=1)
 
+    def test_precoder_linalg_error_is_recorded(self, tiny_config, tmp_path, monkeypatch):
+        # the MMSE solve of trial 0 gets a matrix that is not positive
+        # definite, so its Cholesky factorisation fails
+        import dataclasses
+        import scipy.linalg
+        clean = run_trials(tiny_config, workers=1)
+        real = scipy.linalg.solve
+        calls = []
+
+        def indefinite_first(a, b, **kwargs):
+            calls.append(kwargs)
+            return real(-a if len(calls) == 1 else a, b, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "solve", indefinite_first)
+        records = run_trials(tiny_config, workers=1)
+        assert calls[0] == {"assume_a": "pos"}
+        assert records[0].failed
+        assert records[0].note.startswith("LinAlgError: ")
+        assert records[1].counts == clean[1].counts
+        sim = dataclasses.replace(tiny_config.simulation, max_failed_fraction=0.0)
+        calls.clear()
+        with pytest.raises(ExperimentError, match="1/2"):
+            run_experiment(dataclasses.replace(tiny_config, simulation=sim),
+                           tmp_path / "out", workers=1)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["n_failed"] == 1
+        assert manifest["failed_notes"][0].startswith("LinAlgError: ")
+
 
 def test_run_trials_spawns_independent_seeds(tiny_config):
     records = run_trials(tiny_config, workers=1)

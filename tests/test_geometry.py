@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from simstack.geometry import LayerGrid, make_geometry, transverse_distances
+from simstack.geometry import LayerGrid, transverse_distances
 
 
 # Scalar oracles: one atom or one pair at a time, in plain Python.
@@ -33,24 +33,22 @@ def pairwise_distance_array_to_layer(geometry, n, q):
     """Distance from antenna n to atom q of the first layer:
     sqrt((xq - xn)^2 + (yq - yn)^2 + sigma^2) >= sigma."""
     xn, yn = geometry.array_positions[n]
-    xq, yq = atom_position(geometry.layers[0], q)
+    xq, yq = atom_position(geometry.grid, q)
     sigma = geometry.array_to_first_layer
     return math.sqrt((xq - xn) ** 2 + (yq - yn) ** 2 + sigma ** 2)
 
 
-def pairwise_distance_layer_to_layer(geometry, ell, q_prev, q):
-    """Distance from atom q_prev on layer ell-1 to atom q on layer ell
-    (ell is 1-based, ell >= 2): sqrt(dx^2 + dy^2 + s^2) >= s."""
-    if not (2 <= ell <= geometry.n_layers):
-        raise IndexError(f"layer index {ell} out of range 2..{geometry.n_layers}")
-    xa, ya = atom_position(geometry.layers[ell - 2], q_prev)
-    xb, yb = atom_position(geometry.layers[ell - 1], q)
+def pairwise_distance_layer_to_layer(geometry, q_prev, q):
+    """Distance from atom q_prev on one layer to atom q on the next:
+    sqrt(dx^2 + dy^2 + s^2) >= s."""
+    xa, ya = atom_position(geometry.grid, q_prev)
+    xb, yb = atom_position(geometry.grid, q)
     s = geometry.inter_layer_spacing
     return math.sqrt((xb - xa) ** 2 + (yb - ya) ** 2 + s ** 2)
 
 
 def test_atom_index_row_major():
-    grid = LayerGrid(qx_count=3, qy_count=4, spacing=0.5, z_offset=1.0)
+    grid = LayerGrid(qx_count=3, qy_count=4, spacing=0.5)
     assert grid.count == 12
     assert atom_index(grid, 0, 0) == 0
     assert atom_index(grid, 0, 3) == 3
@@ -60,7 +58,7 @@ def test_atom_index_row_major():
 
 @given(st.integers(1, 6), st.integers(1, 6))
 def test_atom_index_cell_round_trip(qx, qy):
-    grid = LayerGrid(qx_count=qx, qy_count=qy, spacing=0.5, z_offset=1.0)
+    grid = LayerGrid(qx_count=qx, qy_count=qy, spacing=0.5)
     positions = grid.positions()
     for q in range(grid.count):
         assert atom_index(grid, *atom_cell(grid, q)) == q
@@ -68,7 +66,7 @@ def test_atom_index_cell_round_trip(qx, qy):
 
 
 def test_positions_centered_and_spaced():
-    grid = LayerGrid(qx_count=4, qy_count=4, spacing=0.25, z_offset=1.0)
+    grid = LayerGrid(qx_count=4, qy_count=4, spacing=0.25)
     pos = grid.positions()
     assert pos.shape == (16, 2)
     # centered: mean at origin
@@ -76,21 +74,6 @@ def test_positions_centered_and_spaced():
     # neighbors along y differ by exactly the spacing
     assert np.isclose(pos[1, 1] - pos[0, 1], 0.25)
     assert np.isclose(pos[4, 0] - pos[0, 0], 0.25)
-
-
-def test_layer_offsets_arithmetic(small_geometry):
-    # z_l = standoff + (l-1) * separation
-    for i, layer in enumerate(small_geometry.layers):
-        assert np.isclose(layer.z_offset, 0.5 + i * 0.5)
-
-
-def test_make_geometry_rejects_mismatched_cells():
-    with pytest.raises(ValueError):
-        make_geometry(n_antennas=2, antenna_spacing=0.5, array_to_first_layer=0.5,
-                      inter_layer_spacing=0.5, n_layers=3,
-                      layer_cells=[(4, 4), (4, 4)], cell_spacing=0.5,
-                      carrier_frequency=3.0e8, antenna_effective_area=0.25,
-                      meta_atom_area=0.25)
 
 
 def test_antenna_array_centered(reference_geometry):
@@ -106,7 +89,7 @@ def test_scalar_distance_oracle(small_geometry):
     g = small_geometry
     # antenna n=1 to atom q=7 of layer 1, recomputed from scratch
     ax, ay = g.array_positions[1]
-    grid = g.layers[0]
+    grid = g.grid
     qx, qy = divmod(7, grid.qy_count)
     px = (qx - (grid.qx_count - 1) / 2) * grid.spacing
     py = (qy - (grid.qy_count - 1) / 2) * grid.spacing
@@ -119,11 +102,10 @@ def test_scalar_distance_oracle(small_geometry):
 
 def test_layer_to_layer_distance_min_is_separation(small_geometry):
     # facing atoms are exactly one separation apart
-    d = pairwise_distance_layer_to_layer(small_geometry, 2, 5, 5)
+    d = pairwise_distance_layer_to_layer(small_geometry, 5, 5)
     assert np.isclose(d, small_geometry.inter_layer_spacing, rtol=1e-15)
-    layers = small_geometry.layers
-    dense = transverse_distances(layers[0].positions(), layers[1].positions(),
-                                 small_geometry.inter_layer_spacing)
+    xy = small_geometry.grid.positions()
+    dense = transverse_distances(xy, xy, small_geometry.inter_layer_spacing)
     assert np.isclose(dense[5, 5], d, rtol=1e-15)
 
 

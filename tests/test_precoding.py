@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import mse_with_optimal_scale, spectral_mse
 from simstack.precoding import (Precoder, TrainablePrecoder, closed_form_mse,
                                 effective_channel, mmse_precoder,
-                                mse_with_optimal_scale,
-                                optimal_receiver_scale, spectral_mse)
+                                optimal_receiver_scale)
 
 
 def _random_channel(rng, q=6, n=4, k=3):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simstack.geometry import make_geometry
-from simstack.propagation import (ForwardOperator, build_w1, build_w_ell,
+from simstack.propagation import (ForwardOperator, build_w, build_w1,
                                   coupling_chain, coupling_coefficient,
                                   radiated_power)
 
@@ -32,8 +32,8 @@ def test_w1_entries_scalar_oracle(small_geometry):
     sigma = g.array_to_first_layer
     for n in range(g.n_antennas):
         xn, yn = g.array_positions[n]
-        for q in range(g.layers[0].count):
-            xq, yq = _atom_position(g.layers[0], q)
+        for q in range(g.grid.count):
+            xq, yq = _atom_position(g.grid, q)
             d = math.sqrt((xq - xn) ** 2 + (yq - yn) ** 2 + sigma ** 2)
             want = _scalar_coupling(d, sigma, g.antenna_effective_area, lam)
             assert abs(w1[n, q] - want) <= 1e-12 * abs(want)
@@ -41,21 +41,16 @@ def test_w1_entries_scalar_oracle(small_geometry):
 
 def test_w_ell_entries_scalar_oracle(small_geometry):
     g = small_geometry
-    w2 = build_w_ell(g, 2)
+    w2 = build_w(g)
     assert w2.shape == (16, 16)
     lam, s = g.wavelength, g.inter_layer_spacing
     for qp in range(16):
-        xa, ya = _atom_position(g.layers[0], qp)
+        xa, ya = _atom_position(g.grid, qp)
         for q in range(16):
-            xb, yb = _atom_position(g.layers[1], q)
+            xb, yb = _atom_position(g.grid, q)
             d = math.sqrt((xb - xa) ** 2 + (yb - ya) ** 2 + s ** 2)
             want = _scalar_coupling(d, s, g.meta_atom_area, lam)
             assert abs(w2[qp, q] - want) <= 1e-12 * abs(want)
-
-
-def test_w_ell_rejects_first_layer(small_geometry):
-    with pytest.raises(IndexError):
-        build_w_ell(small_geometry, 1)
 
 
 def test_coupling_on_axis():
@@ -87,6 +82,8 @@ def test_wavelength_unit_scaling_invariance():
 def test_chain_shares_identical_layer_couplings(reference_geometry):
     ws = coupling_chain(reference_geometry)
     assert len(ws) == reference_geometry.n_layers
+    assert ws[0].shape == (reference_geometry.n_antennas, 144)
+    assert ws[1].shape == (144, 144)
     for w in ws[2:]:
         assert w is ws[1]
 
@@ -105,8 +102,8 @@ def test_cached_chain_is_read_only(small_geometry):
 
 
 def _random_taus(chain, rng):
-    return [rng.normal(size=w.shape[1]) + 1j * rng.normal(size=w.shape[1])
-            for w in chain]
+    shape = (len(chain), chain[0].shape[1])
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def test_forward_matches_naive_diag_product(small_geometry, rng):
@@ -128,12 +125,13 @@ def test_forward_matches_naive_diag_product(small_geometry, rng):
 def test_forward_validates_shapes(small_geometry, rng):
     chain = coupling_chain(small_geometry)
     taus = _random_taus(chain, rng)
+    # the state must be (L, Q): one row per coupling matrix, Q atoms each
     with pytest.raises(ValueError):
         ForwardOperator(chain, taus[:-1])
-    bad = list(taus)
-    bad[1] = bad[1][:-1]
     with pytest.raises(ValueError):
-        ForwardOperator(chain, bad)
+        ForwardOperator(chain, taus[:, :-1])
+    with pytest.raises(ValueError):
+        ForwardOperator(chain, taus[0])
 
 
 def test_tau_cogradients_finite_difference(small_geometry, rng):
@@ -149,12 +147,12 @@ def test_tau_cogradients_finite_difference(small_geometry, rng):
         return 2.0 * np.real(np.sum(np.conj(c) * g))
 
     gbars = ForwardOperator(chain, taus).tau_cogradients(c)
+    assert gbars.shape == taus.shape
     eps = 1e-5
     for ell in range(len(taus)):
         for q in [0, 7, taus[ell].shape[0] - 1]:
             for direction, part in [(1.0, np.real), (1j, np.imag)]:
-                up = [t.copy() for t in taus]
-                dn = [t.copy() for t in taus]
+                up, dn = taus.copy(), taus.copy()
                 up[ell][q] += direction * eps
                 dn[ell][q] -= direction * eps
                 fd = (loss(up) - loss(dn)) / (2 * eps)
@@ -163,17 +161,14 @@ def test_tau_cogradients_finite_difference(small_geometry, rng):
 
 
 def test_radiated_power_bound(small_geometry, rng):
+    """||P G||_F^2 <= ||P||_F^2 ||G||_2^2 (squared spectral norm)."""
     chain = coupling_chain(small_geometry)
-    taus = [np.exp(2j * np.pi * rng.random(w.shape[1])) for w in chain]
-    fwd = ForwardOperator(chain, taus)
+    taus = np.exp(2j * np.pi * rng.random((len(chain), chain[0].shape[1])))
+    g = ForwardOperator(chain, taus).matrix
+    g2 = np.linalg.norm(g, ord=2) ** 2
     for _ in range(20):
         p = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        power, bound = radiated_power(p, fwd)
-        assert 0.0 <= power <= bound * (1 + 1e-12)
-    # explicit budget scales the bound (P must actually honor it)
-    p = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    p *= np.sqrt(10.0) / np.linalg.norm(p)
-    _, bound_budget = radiated_power(p, fwd, total_power=10.0)
-    g2 = np.linalg.norm(fwd.matrix, ord=2) ** 2
-    assert np.isclose(bound_budget, 10.0 * g2)
+        power = radiated_power(p, g)
+        assert np.isclose(power, np.linalg.norm(p @ g) ** 2, rtol=1e-12)
+        assert 0.0 <= power <= np.linalg.norm(p) ** 2 * g2 * (1 + 1e-12)
 

@@ -86,8 +86,8 @@ def _train_setup(iterations=60):
 class TestTrain:
     def test_returns_trained_state(self, small_geometry):
         h, config = _train_setup()
-        device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
-                                         rng=np.random.default_rng(4))
+        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+                           rng=np.random.default_rng(4))
         device, pre, report = train(coupling_chain(small_geometry), device, h, config,
                                     QPSK, total_power=2.0, snr=10.0, seed=123)
         assert isinstance(report, LossReport)
@@ -100,8 +100,8 @@ class TestTrain:
 
     def test_deterministic_given_seed(self, small_geometry):
         h, config = _train_setup()
-        base = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
-                                       rng=np.random.default_rng(4))
+        base = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+                         rng=np.random.default_rng(4))
         out = []
         for _ in range(2):
             dev = copy.deepcopy(base)
@@ -114,8 +114,8 @@ class TestTrain:
 
     def test_seed_changes_trajectory(self, small_geometry):
         h, _ = _train_setup()
-        base = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
-                                       rng=np.random.default_rng(4))
+        base = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+                         rng=np.random.default_rng(4))
         losses = []
         for seed in (1, 2):
             config = TrainingConfig(pilot_symbols=32, iterations=10, step_size=0.02)
@@ -127,8 +127,8 @@ class TestTrain:
     def test_zero_iterations_keeps_mmse_init(self, small_geometry):
         h, _ = _train_setup()
         config = TrainingConfig(pilot_symbols=32, iterations=0, step_size=0.02)
-        device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
-                                         rng=np.random.default_rng(4))
+        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+                           rng=np.random.default_rng(4))
         x0 = device.flat().copy()
         g0 = ForwardOperator(coupling_chain(small_geometry),
                              device.taus()).matrix
@@ -142,8 +142,8 @@ class TestTrain:
     def test_training_improves_on_init(self, small_geometry):
         # enough iterations to reliably beat the model-based starting point
         h, config = _train_setup(iterations=150)
-        device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
-                                         rng=np.random.default_rng(4))
+        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+                           rng=np.random.default_rng(4))
         device, pre, report = train(coupling_chain(small_geometry), device, h, config,
                                     QPSK, total_power=2.0, snr=10.0, seed=123)
         assert min(report.losses) < report.losses[0]
@@ -151,8 +151,8 @@ class TestTrain:
     def test_rejects_pilot_block_smaller_than_users(self, small_geometry):
         h, _ = _train_setup()
         config = TrainingConfig(pilot_symbols=1, iterations=5, step_size=0.02)
-        device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
-                                         rng=np.random.default_rng(4))
+        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+                           rng=np.random.default_rng(4))
         with pytest.raises(ValueError):
             train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
                   snr=10.0, seed=9)
@@ -162,8 +162,8 @@ class TestTrain:
         # near-noiseless start so the scrambled loss clears the 10x threshold
         config = TrainingConfig(pilot_symbols=32, iterations=50, step_size=1e8,
                                 optimizer="sgd")
-        device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
-                                         rng=np.random.default_rng(4))
+        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+                           rng=np.random.default_rng(4))
         with pytest.raises(TrainingDivergenceError):
             train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
                   snr=1e4, seed=5)
@@ -173,8 +173,8 @@ class TestTrain:
         # still carry a positive receiver scale
         h, _ = _train_setup()
         config = TrainingConfig(pilot_symbols=32, iterations=0, step_size=0.02)
-        device = SimDevice.from_geometry(small_geometry, ("ac", "pc", "pc"),
-                                         rng=np.random.default_rng(4))
+        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+                           rng=np.random.default_rng(4))
         ws = coupling_chain(small_geometry)
         p = mmse_precoder(ForwardOperator(ws, device.taus()).matrix, h,
                           10.0, 2.0).matrix
