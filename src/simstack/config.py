@@ -23,6 +23,7 @@ from .linklevel import MODULATIONS
 from .training import TrainingConfig
 
 METHODS = ("no_sim", "model_based", "data_driven")
+SNAPSHOT_DIR = "snapshots"    # directory of per-trial parameter snapshots
 
 
 class ConfigError(Exception):
@@ -224,6 +225,11 @@ class ExperimentConfig:
     def to_dict(self):
         return _plain(asdict(self))
 
+    def csv_names(self):
+        """Result CSV file name per modulation, in curve order."""
+        return {m: f"{self.output.csv_prefix}_{m}.csv"
+                for m in dict.fromkeys(c.modulation for c in self.simulation.curves)}
+
     def sha256(self):
         blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -305,6 +311,11 @@ def _check_constraints(cfg):
         raise ConfigConstraintError(
             f"training.pilot_symbols = {cfg.training.pilot_symbols} is fewer than "
             f"simulation.n_users = {s.n_users}")
+    o = cfg.output
+    taken = list(cfg.csv_names().values()) + ([SNAPSHOT_DIR] if o.snapshots else [])
+    if o.manifest in taken:
+        raise ConfigConstraintError(f"output.manifest = {o.manifest!r} names another "
+                                    f"output of the result directory")
     for i, curve in enumerate(s.curves):
         bps = int(math.log2(MODULATIONS[curve.modulation]))
         if s.bits_per_user % bps:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SNAPSHOT_DIR
 from .design import fit_sim_to_target, svd_target
 from .linklevel import (constellation_for, ebn0_to_noise_variance,
                         generate_channel, link_snr, simulate_block)
@@ -188,11 +189,9 @@ def run_experiment(cfg, out_dir, workers=1):
 
     sha = cfg.sha256()
     seed = cfg.simulation.master_seed
-    outputs = []
-    for modulation in dict.fromkeys(c.modulation for c in cfg.simulation.curves):
-        name = f"{cfg.output.csv_prefix}_{modulation}.csv"
+    outputs = cfg.csv_names()
+    for modulation, name in outputs.items():
         write_ber_csv(out_dir / name, ber_rows(cfg, totals, modulation), seed, sha)
-        outputs.append(name)
 
     residuals = [r.fit_residual for r in records if r.fit_residual is not None]
     from . import __version__
@@ -204,7 +203,7 @@ def run_experiment(cfg, out_dir, workers=1):
         "n_trials": cfg.simulation.n_trials,
         "n_failed": len(failed),
         "failed_notes": [r.note for r in failed],
-        "outputs": outputs,
+        "outputs": list(outputs.values()),
         "fit_residual_mean": float(np.mean(residuals)) if residuals else None,
         "fit_residual_max": float(np.max(residuals)) if residuals else None,
         "config": cfg.to_dict(),
@@ -219,13 +218,13 @@ def run_experiment(cfg, out_dir, workers=1):
         raise ExperimentError(
             f"{len(failed)}/{cfg.simulation.n_trials} trials failed "
             f"(tolerance {cfg.simulation.max_failed_fraction})")
-    return {"outputs": [str(out_dir / name) for name in outputs],
+    return {"outputs": [str(out_dir / name) for name in outputs.values()],
             "manifest": str(out_dir / cfg.output.manifest),
             "n_failed": len(failed), "totals": totals}
 
 
 def _write_snapshots(cfg, out_dir, records):
-    snap_dir = out_dir / "snapshots"
+    snap_dir = out_dir / SNAPSHOT_DIR
     snap_dir.mkdir(exist_ok=True)
     for rec in records:
         if rec.failed or not rec.snapshots:

@@ -13,9 +13,14 @@ stack response seen from the antennas is
 
     G = W1 T1 W T2 ... W TL,    T_l = diag(tau_l).
 
-G is accumulated left to right, keeping every intermediate N x Q; the
-cached prefixes A_1 = W1, A_l = A_{l-1} T_{l-1} W are what the reverse
-sweep reuses when differentiating a scalar loss with respect to tau.
+W is symmetric bit for bit (its entries depend on squared transverse
+offsets), so rows advance through a layer as X T W from either end of the
+stack: the N antenna rows as the prefixes A_1 = W1, A_l = A_{l-1} T_{l-1} W,
+and the K rows of a channel h^T as the suffixes R_l^T = (W T_{l+1} ... W T_L
+h)^T. `propagate` moves both blocks with one (N+K) x Q product per layer.
+That one sweep gives G h and, for a G cogradient u h^H (training's), every
+tau cogradient by contraction, with no reverse sweep; the target fit's
+general cogradient runs the reverse sweep through the same routine.
 
 Everything is complex128; the propagation phases 2*pi*d/lambda0 reach into
 the hundreds, which burns through single-precision mantissas.
@@ -65,27 +70,48 @@ def coupling_chain(geometry):
     return [w1] + [w] * (geometry.n_layers - 1)
 
 
+def propagate(w, taus, left, right):
+    """(L, n + k, Q) array Z: Z[0] = [left; right] and Z[j+1] =
+    [Z[j, :n] T_j; Z[j, n:] T_{L-1-j}] W, so the left rows walk the layers
+    first to last and the right rows last to first."""
+    n_layers, q = taus.shape
+    n = left.shape[0]
+    z = np.empty((n_layers, n + right.shape[0], q), dtype=complex)
+    z[0, :n] = left
+    z[0, n:] = right
+    x = np.empty_like(z[0])
+    for j in range(n_layers - 1):
+        np.multiply(z[j, :n], taus[j], out=x[:n])
+        np.multiply(z[j, n:], taus[-1 - j], out=x[n:])
+        np.matmul(x, w, out=z[j + 1])
+    return z
+
+
 class ForwardOperator:
-    """G = W1 T1 W T2 ... W TL plus the cached prefixes A_l.
+    """G = W1 T1 W T2 ... W TL, optionally with a Q x K channel h riding
+    through the same sweep.
 
     w_list    the coupling chain, L matrices
     taus      the (L, Q) transmission state
     matrix    the N x Q stack response G
-    prefixes  list of A_l, one per layer (A_1 = W1)
+    prefixes  (L, N, Q) array of A_l
+    suffixes  (L, K, Q) array of R_l^T (R_L = h)
+    gh        G h (N x K), or None without h
     """
 
-    def __init__(self, w_list, taus):
+    def __init__(self, w_list, taus, h=None):
         taus = np.asarray(taus)
         want = (len(w_list), w_list[0].shape[1])
         if taus.shape != want:
             raise ValueError(f"tau state has shape {taus.shape}, the chain needs {want}")
-        prefixes = [w_list[0]]
-        for ell in range(1, len(w_list)):
-            prefixes.append((prefixes[-1] * taus[ell - 1][None, :]) @ w_list[ell])
         self.w_list = list(w_list)
         self.taus = taus
-        self.prefixes = prefixes
-        self.matrix = prefixes[-1] * taus[-1][None, :]
+        n = w_list[0].shape[0]
+        z = propagate(w_list[-1], taus, w_list[0],
+                      np.empty((0, want[1])) if h is None else np.asarray(h).T)
+        self.prefixes, self.suffixes = z[:, :n], z[::-1, n:]
+        self.matrix = self.prefixes[-1] * taus[-1]
+        self.gh = None if h is None else self.matrix @ h
 
     def tau_cogradients(self, cograd_matrix):
         """Reverse sweep: conjugate cogradients of the loss with respect to
@@ -93,17 +119,16 @@ class ForwardOperator:
 
         Convention: for loss L and complex matrix M, the cogradient Mbar
         satisfies dL = 2 Re tr(Mbar^H dM). Returns an (L, Q) complex array,
-        one row per layer.
+        one row per layer. The message runs conjugated, as right rows.
         """
-        msg = cograd_matrix
-        out = np.empty_like(self.taus, dtype=complex)
-        for ell in range(len(self.w_list) - 1, -1, -1):
-            out[ell] = np.sum(np.conj(self.prefixes[ell]) * msg, axis=0)
-            if ell > 0:
-                # (msg diag(conj tau)) W^H, conjugating the small factor
-                # instead of copying conj(W) on every sweep
-                msg = np.conj((np.conj(msg) * self.taus[ell][None, :]) @ self.w_list[ell].T)
-        return out
+        msg = propagate(self.w_list[-1], self.taus, np.empty((0, self.taus.shape[1])),
+                        np.conj(cograd_matrix))[::-1]
+        return np.conj(np.sum(self.prefixes * msg, axis=1))
+
+    def h_cogradients(self, u):
+        """tau_cogradients(u h^H) for u N x K, without a reverse sweep: the
+        sum over K of conj(R_l) * (conj(A_l)^T u)."""
+        return np.conj(np.sum(self.suffixes * (np.conj(u).T @ self.prefixes), axis=1))
 
 
 def radiated_power(precoder_matrix, g):

@@ -8,11 +8,13 @@ with beta the per-batch least-squares-optimal real scale (not a trained
 parameter). Noise R is redrawn every iteration, so gradients are
 stochastic and the best-loss iterate is returned rather than the last.
 
-Gradients are exact per batch: reverse accumulation through the layer
-chain (ForwardOperator.tau_cogradients) and the precoder normalization,
-all with respect to the unconstrained backing parameters. At the optimal
-beta the d(beta)/d(params) terms contribute nothing to first order, so
-beta is held fixed inside each backward pass.
+Gradients are exact per batch, through the layer chain and the precoder
+normalization, all with respect to the unconstrained backing parameters.
+At the optimal beta the d(beta)/d(params) terms contribute nothing to
+first order, so beta is held fixed inside each backward pass. The
+cogradient of G is u H^H, so the channel rides through the forward sweep
+beside the antenna rows (ForwardOperator's h) and the layer cogradients
+need no reverse sweep (ForwardOperator.h_cogradients).
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import SimDevice
+from .linklevel import complex_noise, generate_channel, make_constellation
 from .optim import OPTIMIZERS, make_optimizer, minimize
 from .precoding import (Precoder, TrainablePrecoder, effective_channel,
                         mmse_precoder, optimal_receiver_scale)
@@ -56,8 +59,8 @@ class LossReport:
     restarted: bool = False
 
 
-def _residual(b, p, g, h, noise):
-    y = b @ p @ g @ h + noise
+def _residual(b, f, noise):
+    y = b @ f + noise
     den = np.real(np.vdot(y, y))
     beta = np.real(np.vdot(y, b)) / den if den > 0 else 0.0
     err = b - beta * y
@@ -67,22 +70,35 @@ def _residual(b, p, g, h, noise):
 def empirical_mse(p, g, h, pilot_block, noise):
     """Empirical MSE of a pilot block with the batch-optimal real scale.
 
-    Y = B P G H + R; beta = Re<Y,B> / <Y,Y>; returns
+    Y = B F + R with F = P G H; beta = Re<Y,B> / <Y,Y>; returns
     ((1/S)||B - beta Y||_F^2, beta). Pure function. All-zero Y falls back
     to beta = 0 and the raw pilot energy.
     """
-    loss, beta, _ = _residual(*(np.asarray(a) for a in (pilot_block, p, g, h, noise)))
+    loss, beta, _ = _residual(np.asarray(pilot_block), effective_channel(p, g, h),
+                              np.asarray(noise))
     return loss, float(beta)
 
 
-def _loss_and_cograds(b, p, g, h, noise):
-    loss, beta, err = _residual(b, p, g, h, noise)
-    # dL = 2 Re tr(cog^H dX) for X in {P, G}
-    scale = -beta / b.shape[0]
-    ebh = err @ h.conj().T                       # S x Q
-    cog_p = scale * (b.conj().T @ ebh @ g.conj().T)
-    cog_g = scale * (p.conj().T @ b.conj().T @ ebh)
-    return loss, beta, cog_p, cog_g
+def _loss_and_cograds(b, p, gh, noise):
+    """(loss, beta, cog_P, u) of the pilot loss at F = P (GH): the
+    cogradients (dL = 2 Re tr(cog^H dX)) are cog_P (K x N) and
+    cog_G = u H^H with u (N x K), all from K x K and K x N factors."""
+    loss, beta, err = _residual(b, p @ gh, noise)
+    e = (-beta / b.shape[0]) * (b.conj().T @ err)
+    return loss, beta, e @ gh.conj().T, p.conj().T @ e
+
+
+def _evaluate(x, ws, device, tp, b, h, noise):
+    """Set the device and precoder to x = [device.flat(), tp.flat()] and
+    return (loss, beta, gradient with respect to x): one two-sided sweep,
+    the loss and the layer cogradients read off it."""
+    n = device.n_params
+    device.set_flat(x[:n])
+    tp.set_flat(x[n:])
+    fwd = ForwardOperator(ws, device.taus(), h)
+    loss, beta, cog_p, u = _loss_and_cograds(b, tp.matrix(), fwd.gh, noise)
+    return loss, beta, np.concatenate([device.param_grad(fwd.h_cogradients(u)),
+                                       tp.param_grad(cog_p)])
 
 
 def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
@@ -108,7 +124,6 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     s = config.pilot_symbols
     b = constellation.points[rng.integers(0, constellation.order, (s, k))]
     sigma2 = total_power / (k * snr)
-    noise_scale = np.sqrt(sigma2 / 2.0)
 
     g0 = ForwardOperator(ws, device.taus()).matrix
     tp = TrainablePrecoder(total_power, mmse_precoder(g0, h, snr, total_power).matrix)
@@ -117,14 +132,8 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     start = rng.bit_generator.state      # restarts replay the same noise
 
     def loss_and_grad(x):
-        device.set_flat(x[:n])
-        tp.set_flat(x[n:])
-        noise = noise_scale * (rng.standard_normal((s, k))
-                               + 1j * rng.standard_normal((s, k)))
-        fwd = ForwardOperator(ws, device.taus())
-        loss, _, cog_p, cog_g = _loss_and_cograds(b, tp.matrix(), fwd.matrix, h, noise)
-        return loss, np.concatenate([device.param_grad(fwd.tau_cogradients(cog_g)),
-                                     tp.param_grad(cog_p)])
+        loss, _, grad = _evaluate(x, ws, device, tp, b, h, complex_noise((s, k), sigma2, rng))
+        return loss, grad
 
     def diverged(losses):
         if not np.isfinite(losses[-1]):
@@ -161,12 +170,13 @@ def finite_difference_check(step=1e-4, seed=7, snr=10.0):
     """Analytic gradients vs central finite differences on a downscaled
     system (L=3, 4x4 cells, N=K=2, one amplitude layer).
 
-    Checks every trainable parameter of the training loss (device backing
-    parameters and precoder real/imaginary parts) for one fixed pilot
-    block and noise draw. Returns a dict of max relative errors.
+    Checks the gradient of the evaluation that `train` runs at every
+    trainable parameter (device backing parameters and precoder
+    real/imaginary parts) for one fixed pilot block and noise draw, against
+    losses from an independent forward pass. Returns a dict of max
+    relative errors.
     """
     from .geometry import make_geometry
-    from .linklevel import make_constellation
 
     rng = np.random.default_rng(seed)
     # unit carrier wavelength; half-wavelength spacings and (lambda/2)^2 areas
@@ -179,41 +189,28 @@ def finite_difference_check(step=1e-4, seed=7, snr=10.0):
     device = SimDevice(geometry.grid.count, ["ac", "pc", "pc"], rng=rng)
     k, n, s = 2, 2, 16
     total_power = float(k)
-    h = (rng.standard_normal((16, k)) + 1j * rng.standard_normal((16, k))) / np.sqrt(2)
-    qpsk = make_constellation(4)
-    b = qpsk.points[rng.integers(0, 4, (s, k))]
-    sigma2 = total_power / (k * snr)
-    noise = np.sqrt(sigma2 / 2) * (rng.standard_normal((s, k))
-                                   + 1j * rng.standard_normal((s, k)))
+    h = generate_channel(16, k, rng)
+    b = make_constellation(4).points[rng.integers(0, 4, (s, k))]
+    noise = complex_noise((s, k), total_power / (k * snr), rng)
     tp = TrainablePrecoder(total_power,
                            rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
 
-    fwd = ForwardOperator(ws, device.taus())
-    loss0, beta, cog_p, cog_g = _loss_and_cograds(b, tp.matrix(), fwd.matrix, h, noise)
-    grad_dev = device.param_grad(fwd.tau_cogradients(cog_g))
-    grad_pre = tp.param_grad(cog_p)
+    x0 = np.concatenate([device.flat(), tp.flat()])
+    loss0, beta, grad = _evaluate(x0, ws, device, tp, b, h, noise)
+    n_dev = device.n_params
 
-    def loss_at(dev_flat, pre_flat):
-        device.set_flat(dev_flat)
-        tp.set_flat(pre_flat)
+    def loss_at(x):
+        device.set_flat(x[:n_dev])
+        tp.set_flat(x[n_dev:])
         g = ForwardOperator(ws, device.taus()).matrix
         return empirical_mse(tp.matrix(), g, h, b, noise)[0]
 
-    dev0, pre0 = device.flat(), tp.flat()
+    def rel_error(i):
+        dx = np.zeros_like(x0)
+        dx[i] = step
+        fd = (loss_at(x0 + dx) - loss_at(x0 - dx)) / (2 * step)
+        return abs(fd - grad[i]) / max(abs(fd), 1e-12)
 
-    def central(x0, other_first, i, analytic):
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += step
-        xm[i] -= step
-        if other_first:
-            fd = (loss_at(dev0, xp) - loss_at(dev0, xm)) / (2 * step)
-        else:
-            fd = (loss_at(xp, pre0) - loss_at(xm, pre0)) / (2 * step)
-        return abs(fd - analytic) / max(abs(fd), 1e-12)
-
-    err_dev = max(central(dev0, False, i, grad_dev[i]) for i in range(dev0.size))
-    err_pre = max(central(pre0, True, i, grad_pre[i]) for i in range(pre0.size))
-    device.set_flat(dev0)
-    tp.set_flat(pre0)
-    return {"device": err_dev, "precoder": err_pre,
-            "n_parameters": dev0.size + pre0.size, "loss": loss0, "beta": beta}
+    errors = [rel_error(i) for i in range(x0.size)]
+    return {"device": max(errors[:n_dev]), "precoder": max(errors[n_dev:]),
+            "n_parameters": x0.size, "loss": loss0, "beta": beta}

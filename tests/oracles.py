@@ -1,4 +1,6 @@
-"""Closed-form MSE expressions that the tests compare the package against."""
+"""Reference implementations that the tests compare the package against:
+closed-form MSE expressions, and the row-form propagation engine and
+training evaluation that the two-sided sweep replaced."""
 
 import numpy as np
 
@@ -25,3 +27,56 @@ def mse_with_optimal_scale(p, g, h, noise_var):
     den = np.linalg.norm(f) ** 2 + k * noise_var
     num = np.real(np.trace(f))
     return float(k - num ** 2 / den), float(num / den)
+
+
+
+class RowForwardOperator:
+    """The propagation engine that the two-sided sweep replaced, kept as the
+    bit-for-bit reference: G built from N x Q prefix rows, one layer at a
+    time, and a reverse sweep that carries an N x Q message back through
+    W^T on every step."""
+
+    def __init__(self, w_list, taus):
+        taus = np.asarray(taus)
+        prefixes = [w_list[0]]
+        for ell in range(1, len(w_list)):
+            prefixes.append((prefixes[-1] * taus[ell - 1][None, :]) @ w_list[ell])
+        self.w_list = list(w_list)
+        self.taus = taus
+        self.prefixes = prefixes
+        self.matrix = prefixes[-1] * taus[-1][None, :]
+
+    def tau_cogradients(self, cograd_matrix):
+        msg = cograd_matrix
+        out = np.empty_like(self.taus, dtype=complex)
+        for ell in range(len(self.w_list) - 1, -1, -1):
+            out[ell] = np.sum(np.conj(self.prefixes[ell]) * msg, axis=0)
+            if ell > 0:
+                msg = np.conj((np.conj(msg) * self.taus[ell][None, :]) @ self.w_list[ell].T)
+        return out
+
+
+def row_loss_and_cograds(b, p, g, h, noise):
+    """(loss, beta, cog_P, cog_G) of the pilot loss (1/S)||B - beta Y||^2,
+    Y = B P G H + noise, through S x Q temporaries, as training computed
+    them before the channel rode through the forward sweep."""
+    y = b @ p @ g @ h + noise
+    den = np.real(np.vdot(y, y))
+    beta = np.real(np.vdot(y, b)) / den if den > 0 else 0.0
+    err = b - beta * y
+    loss = float(np.linalg.norm(err) ** 2) / b.shape[0]
+    scale = -beta / b.shape[0]
+    ebh = err @ h.conj().T
+    return (loss, beta, scale * (b.conj().T @ ebh @ g.conj().T),
+            scale * (p.conj().T @ b.conj().T @ ebh))
+
+
+def row_evaluate(x, ws, device, tp, b, h, noise):
+    """training._evaluate through the row engine and the S x Q cogradients."""
+    n = device.n_params
+    device.set_flat(x[:n])
+    tp.set_flat(x[n:])
+    fwd = RowForwardOperator(ws, device.taus())
+    loss, beta, cog_p, cog_g = row_loss_and_cograds(b, tp.matrix(), fwd.matrix, h, noise)
+    return loss, beta, np.concatenate([device.param_grad(fwd.tau_cogradients(cog_g)),
+                                       tp.param_grad(cog_p)])

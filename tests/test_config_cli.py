@@ -180,6 +180,23 @@ class TestValidation:
         with pytest.raises(ConfigConstraintError, match=f"{section}.{key}"):
             parse_config(tiny_raw)
 
+    # a manifest name that another output of the run also writes
+    @pytest.mark.parametrize("output", [
+        {"manifest": "snapshots", "snapshots": True},
+        {"manifest": "ber_qpsk.csv"},
+        {"manifest": "res_qpsk.csv", "csv_prefix": "res"},
+    ])
+    def test_manifest_collides_with_another_output(self, tiny_raw, output):
+        tiny_raw["output"] = output
+        with pytest.raises(ConfigConstraintError, match="output.manifest"):
+            parse_config(tiny_raw)
+
+    def test_manifest_may_take_a_free_output_name(self, tiny_raw):
+        tiny_raw["output"] = {"manifest": "snapshots", "csv_prefix": "res"}
+        tiny_raw["simulation"]["curves"].append({"modulation": "qam16", "ebn0_db": [4.0]})
+        assert parse_config(tiny_raw).csv_names() == {"qpsk": "res_qpsk.csv",
+                                                      "qam16": "res_qam16.csv"}
+
 
 class TestSchema:
     def test_omitted_keys_take_dataclass_defaults(self):

@@ -88,6 +88,14 @@ def test_chain_shares_identical_layer_couplings(reference_geometry):
         assert w is ws[1]
 
 
+@pytest.mark.parametrize("name", ["small_geometry", "reference_geometry"])
+def test_layer_coupling_is_exactly_symmetric(name, request):
+    # the sweep multiplies the antenna rows and the channel rows by the same
+    # W from the right, which is exact only while W == W^T bit for bit
+    w = coupling_chain(request.getfixturevalue(name))[1]
+    assert np.array_equal(w, w.T)
+
+
 def test_chain_is_cached(small_geometry):
     assert coupling_chain(small_geometry) is coupling_chain(small_geometry)
 

@@ -191,6 +191,41 @@ class TestTrain:
         assert np.allclose(pre.matrix, p, rtol=1e-12)
 
 
+def test_evaluation_gradient_more_antennas_than_users(rng):
+    """Central differences of the training evaluation with N = 4 != K = 2 on
+    a mixed ac/pc stack, where swapping the K x N and N x K factors of the
+    cogradients cannot go unnoticed."""
+    from simstack.geometry import make_geometry
+    from simstack.training import _evaluate
+    geometry = make_geometry(n_antennas=4, antenna_spacing=0.5,
+                             array_to_first_layer=0.5, inter_layer_spacing=0.5,
+                             n_layers=3, layer_cells=(4, 4), cell_spacing=0.5,
+                             carrier_frequency=3.0e8, antenna_effective_area=0.25,
+                             meta_atom_area=0.25)
+    ws = coupling_chain(geometry)
+    n, k, s = 4, 2, 24
+    device = SimDevice(16, ("pc", "ac", "pc"), rng=rng)
+    tp = TrainablePrecoder(2.0, rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+    h = generate_channel(16, k, rng)
+    b = _pilots(rng, s, k)
+    noise = 0.3 * (rng.normal(size=(s, k)) + 1j * rng.normal(size=(s, k)))
+    x0 = np.concatenate([device.flat(), tp.flat()])
+    loss0, _, grad = _evaluate(x0, ws, device, tp, b, h, noise)
+    assert grad.shape == (48 + 2 * k * n,)
+
+    def loss_at(x):
+        return _evaluate(x, ws, device, tp, b, h, noise)[0]
+
+    step = 1e-5
+    fd = np.array([(loss_at(x0 + step * e) - loss_at(x0 - step * e)) / (2 * step)
+                   for e in np.eye(x0.size)])
+    assert np.max(np.abs(fd - grad)) <= 1e-7 * np.max(np.abs(grad))
+    # the loss itself agrees with an independent forward pass
+    g = ForwardOperator(ws, device.taus()).matrix
+    assert loss_at(x0) == pytest.approx(empirical_mse(tp.matrix(), g, h, b, noise)[0],
+                                        rel=1e-13)
+
+
 def test_finite_difference_check_small_step():
     out = finite_difference_check(step=1e-4, seed=7, snr=10.0)
     assert out["device"] < 1e-5
