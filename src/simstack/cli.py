@@ -18,15 +18,12 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .config import ConfigConstraintError, ConfigError, dump_config, load_config
+from .config import (ConfigConstraintError, ConfigError, bundled_config_path,
+                     dump_config, load_config)
 from .experiment import ExperimentError, read_ber_csv, run_experiment
 from .training import finite_difference_check
 
 GRADCHECK_TOLERANCE = 1e-5
-
-
-def bundled_config_path():
-    return resources.files("simstack").joinpath("data/reference.yaml")
 
 
 def _apply_overrides(cfg, seed=None, trials=None):

@@ -6,24 +6,30 @@ carrier frequency given separately, so a config is frequency-portable.
 Validation is strict: unknown keys, wrong types, out-of-range values and
 violated cross-field constraints are rejected with the offending key named.
 The section dataclasses are the schema: each states its fields' names,
-types, defaults and ranges once.
+types, defaults and ranges once. The geometry and training sections are
+`geometry.SimGeometry` and `training.TrainingConfig` themselves.
 """
 
 import hashlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from importlib import resources
 from pathlib import Path
 
 import yaml
 
 from .device import LAYER_KINDS, SimDevice
-from .geometry import C0, make_geometry
+from .geometry import SimGeometry, _at_least, _positive
 from .linklevel import MODULATIONS
 from .training import TrainingConfig
 
 METHODS = ("no_sim", "model_based", "data_driven")
 SNAPSHOT_DIR = "snapshots"    # directory of per-trial parameter snapshots
+
+
+def bundled_config_path():
+    return resources.files("simstack").joinpath("data/reference.yaml")
 
 
 class ConfigError(Exception):
@@ -53,13 +59,6 @@ def _typed(value, types, key):
 
 # Readers of the list-valued keys; each tuple field names its own in
 # field(metadata={"read": ...}).
-
-def _int_pair(value, where):
-    if len(value) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
-                                  and v > 0 for v in value):
-        raise ConfigSchemaError(f"{where}: expected a pair of positive integers")
-    return tuple(value)
-
 
 def _number_pair(value, where):
     if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
@@ -105,45 +104,8 @@ def _curves(value, where):
     return tuple(out)
 
 
-# Range checks for __post_init__. A ValueError names the key; parsing
-# prefixes the section.
-
-def _positive(section, *keys):
-    for key in keys:
-        value = getattr(section, key)
-        if not value > 0:
-            raise ValueError(f"{key} must be positive, got {value}")
-
-
 def _has_separator(name):
     return "/" in name or "\\" in name
-
-
-def _at_least(section, low, *keys):
-    for key in keys:
-        value = getattr(section, key)
-        if not value >= low:
-            raise ValueError(f"{key} must be at least {low}, got {value}")
-
-
-@dataclass(frozen=True)
-class GeometrySection:
-    n_antennas: int
-    n_layers: int
-    layer_cells: tuple = field(metadata={"read": _int_pair})     # (qx, qy)
-    carrier_frequency_hz: float
-    antenna_spacing_wl: float = 0.5
-    array_to_first_layer_wl: float = 14.0
-    inter_layer_spacing_wl: float = 0.5
-    cell_spacing_wl: float = 0.5
-    antenna_area_wl2: float = 0.25
-    meta_atom_area_wl2: float = 0.25
-
-    def __post_init__(self):
-        _at_least(self, 1, "n_antennas", "n_layers")
-        _positive(self, "carrier_frequency_hz", "antenna_spacing_wl",
-                  "array_to_first_layer_wl", "inter_layer_spacing_wl", "cell_spacing_wl",
-                  "antenna_area_wl2", "meta_atom_area_wl2")
 
 
 @dataclass(frozen=True)
@@ -215,7 +177,7 @@ class OutputSection:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    geometry: GeometrySection
+    geometry: SimGeometry
     device: DeviceSection
     training: TrainingConfig
     fitting: FittingSection
@@ -235,23 +197,11 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def build_geometry(self):
-        g = self.geometry
-        wavelength = C0 / g.carrier_frequency_hz
-        return make_geometry(
-            n_antennas=g.n_antennas,
-            antenna_spacing=g.antenna_spacing_wl * wavelength,
-            array_to_first_layer=g.array_to_first_layer_wl * wavelength,
-            inter_layer_spacing=g.inter_layer_spacing_wl * wavelength,
-            n_layers=g.n_layers,
-            layer_cells=g.layer_cells,
-            cell_spacing=g.cell_spacing_wl * wavelength,
-            carrier_frequency=g.carrier_frequency_hz,
-            antenna_effective_area=g.antenna_area_wl2 * wavelength ** 2,
-            meta_atom_area=g.meta_atom_area_wl2 * wavelength ** 2)
+        """The geometry section itself; the benchmark harness still calls this."""
+        return self.geometry
 
     def build_device(self, rng=None):
-        return SimDevice(self.geometry.layer_cells[0] * self.geometry.layer_cells[1],
-                         self.device.layer_kinds,
+        return SimDevice(self.geometry.n_cells, self.device.layer_kinds,
                          pc_amplitude=self.device.pc_amplitude,
                          ac_gain_bounds_db=self.device.gain_bounds_db,
                          rng=rng)
@@ -270,8 +220,9 @@ def _build_section(raw, section, cls):
     """The dataclass `cls` is the schema: a field without a default is
     required, `float` takes an int or a float, `int`, `str` and `bool` take
     exactly their type, and a `tuple` field takes a list that its
-    metadata["read"] reader parses. A ValueError from the dataclass's range
-    checks becomes a ConfigConstraintError."""
+    metadata["read"] reader parses. A ValueError from a reader becomes a
+    ConfigSchemaError, one from the dataclass's range checks a
+    ConfigConstraintError."""
     raw = dict(_typed(raw, dict, section))
     kwargs = {}
     for f in fields(cls):
@@ -282,7 +233,10 @@ def _build_section(raw, section, cls):
             continue
         value = raw.pop(f.name)
         if f.type is tuple:
-            value = f.metadata["read"](_typed(value, list, where), where)
+            try:
+                value = f.metadata["read"](_typed(value, list, where), where)
+            except ValueError as exc:
+                raise ConfigSchemaError(str(exc)) from exc
         elif f.type is float:
             value = float(_typed(value, (int, float), where))
         else:
@@ -302,11 +256,10 @@ def _check_constraints(cfg):
         raise ConfigConstraintError(
             f"device.layer_kinds has {len(d.layer_kinds)} entries but "
             f"geometry.n_layers = {g.n_layers}")
-    q = g.layer_cells[0] * g.layer_cells[1]
-    if not (q >= g.n_antennas >= s.n_users):
+    if not (g.n_cells >= g.n_antennas >= s.n_users):
         raise ConfigConstraintError(
             f"need layer cells >= geometry.n_antennas >= simulation.n_users, "
-            f"got {q} >= {g.n_antennas} >= {s.n_users}")
+            f"got {g.n_cells} >= {g.n_antennas} >= {s.n_users}")
     if cfg.training.pilot_symbols < s.n_users:
         raise ConfigConstraintError(
             f"training.pilot_symbols = {cfg.training.pilot_symbols} is fewer than "

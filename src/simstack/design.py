@@ -44,7 +44,6 @@ class FitResult:
     residual: float        # ||G - T||_F / ||T||_F at the returned iterate
     converged: bool
     n_iterations: int
-    loss: float
 
 
 def fit_sim_to_target(ws, device, target, *, iterations=1000,
@@ -77,4 +76,4 @@ def fit_sim_to_target(ws, device, target, *, iterations=1000,
     device.set_flat(x)
     residual = float(np.sqrt(best_loss))
     return FitResult(residual=residual, converged=residual < tolerance,
-                     n_iterations=min(len(losses), iterations), loss=best_loss)
+                     n_iterations=min(len(losses), iterations))

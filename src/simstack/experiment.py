@@ -52,13 +52,13 @@ def _points(cfg):
 def run_trial(cfg, index, trial_seed):
     """One channel realization across all methods and operating points."""
     sim = cfg.simulation
-    geometry = cfg.build_geometry()
+    geometry = cfg.geometry
     ws = coupling_chain(geometry)
-    k, n = sim.n_users, cfg.geometry.n_antennas
+    k, n = sim.n_users, geometry.n_antennas
     points = _points(cfg)
     streams = trial_seed.spawn(3 + 2 * len(points))
 
-    h = generate_channel(geometry.grid.count, k, np.random.default_rng(streams[0]))
+    h = generate_channel(geometry.n_cells, k, np.random.default_rng(streams[0]))
     h_direct = generate_channel(n, k, np.random.default_rng(streams[1]))
 
     record = TrialRecord(index, snapshots={} if cfg.output.snapshots else None)

@@ -7,10 +7,14 @@ the inter-layer spacing. The meta-atoms of every layer form the same
 centered rectangular grid of Q cells; the 2-D cell (q_x, q_y) maps to the
 1-D index q = q_x * qy_count + q_y (row-major).
 
-All coordinates and lengths are in meters.
+`SimGeometry` states every length in carrier wavelengths (suffix _wl, areas
+_wl2) with the carrier frequency given separately, so a geometry is
+frequency-portable; it is also the `geometry` section of an experiment
+config. Positions (`antenna_xy`, `atom_xy`) come out in meters, and the
+coupling matrices convert the axial spacings and areas themselves.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -19,106 +23,97 @@ import numpy as np
 C0 = 3.0e8
 
 
-@dataclass(frozen=True)
-class LayerGrid:
-    """The atom grid of every layer: qx_count x qy_count cells with pitch
-    `spacing`, centered on the stack axis."""
+# Range checks for __post_init__, shared with the other config sections. A
+# ValueError names the key; config parsing prefixes the section.
 
-    qx_count: int
-    qy_count: int
-    spacing: float
-
-    def __post_init__(self):
-        if self.qx_count < 1 or self.qy_count < 1:
-            raise ValueError("grid counts must be >= 1")
-        if self.spacing <= 0:
-            raise ValueError("grid spacing must be positive")
-
-    @property
-    def count(self):
-        return self.qx_count * self.qy_count
-
-    def positions(self):
-        """All atom coordinates as a (count, 2) array, in index order."""
-        xs = (np.arange(self.qx_count) - (self.qx_count - 1) / 2.0) * self.spacing
-        ys = (np.arange(self.qy_count) - (self.qy_count - 1) / 2.0) * self.spacing
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
+def _positive(section, *keys):
+    for key in keys:
+        value = getattr(section, key)
+        if not value > 0:
+            raise ValueError(f"{key} must be positive, got {value}")
 
 
-def _centered_square_array(n, spacing):
-    # most-square factorization: n=4 -> 2x2, n=2 -> 1x2 line
-    rows = math.isqrt(n)
-    while n % rows:
-        rows -= 1
-    cols = n // rows
-    xs = (np.arange(rows) - (rows - 1) / 2.0) * spacing
-    ys = (np.arange(cols) - (cols - 1) / 2.0) * spacing
+def _at_least(section, low, *keys):
+    for key in keys:
+        value = getattr(section, key)
+        if not value >= low:
+            raise ValueError(f"{key} must be at least {low}, got {value}")
+
+
+def _int_pair(value, where):
+    """Config reader of `layer_cells`: a list of two positive integers."""
+    if len(value) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
+                                  and v > 0 for v in value):
+        raise ValueError(f"{where}: expected a pair of positive integers")
+    return tuple(value)
+
+
+def _centered_grid(nx, ny, spacing):
+    """(nx * ny, 2) coordinates of an nx x ny grid with pitch `spacing`,
+    centered on the stack axis, in row-major index order."""
+    xs = (np.arange(nx) - (nx - 1) / 2.0) * spacing
+    ys = (np.arange(ny) - (ny - 1) / 2.0) * spacing
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return tuple((float(x), float(y)) for x, y in zip(gx.ravel(), gy.ravel()))
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
 @dataclass(frozen=True)
 class SimGeometry:
     """Immutable description of the full transmitter geometry.
 
-    array_positions      transverse (x, y) of the N antennas at z = 0
-    array_to_first_layer standoff sigma between array and layer 1
-    inter_layer_spacing  spacing s between consecutive layers
-    grid                 the LayerGrid shared by all layers
-    n_layers             L
-    carrier_frequency    f0 in Hz; wavelength = C0 / f0
-    antenna_effective_area / meta_atom_area
-                         radiating areas entering the coupling coefficients
+    n_antennas               N, on the most-square centered grid at z = 0
+    n_layers                 L
+    layer_cells              (qx, qy) atom grid shared by all layers
+    carrier_frequency_hz     f0; wavelength = C0 / f0
+    antenna_spacing_wl / cell_spacing_wl
+                             pitch of the antenna grid and of the atom grid
+    array_to_first_layer_wl  standoff sigma between array and layer 1
+    inter_layer_spacing_wl   spacing s between consecutive layers
+    antenna_area_wl2 / meta_atom_area_wl2
+                             radiating areas entering the coupling coefficients
     """
 
-    array_positions: tuple
-    array_to_first_layer: float
-    inter_layer_spacing: float
-    grid: LayerGrid
+    n_antennas: int
     n_layers: int
-    carrier_frequency: float
-    antenna_effective_area: float
-    meta_atom_area: float
+    layer_cells: tuple = field(metadata={"read": _int_pair})     # (qx, qy)
+    carrier_frequency_hz: float
+    antenna_spacing_wl: float = 0.5
+    array_to_first_layer_wl: float = 14.0
+    inter_layer_spacing_wl: float = 0.5
+    cell_spacing_wl: float = 0.5
+    antenna_area_wl2: float = 0.25
+    meta_atom_area_wl2: float = 0.25
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ValueError("geometry needs at least one layer")
-        if self.array_to_first_layer <= 0 or self.inter_layer_spacing <= 0:
-            raise ValueError("axial spacings must be positive")
-        if self.carrier_frequency <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.antenna_effective_area <= 0 or self.meta_atom_area <= 0:
-            raise ValueError("radiating areas must be positive")
-
-    @property
-    def n_antennas(self):
-        return len(self.array_positions)
+        _at_least(self, 1, "n_antennas", "n_layers")
+        if len(self.layer_cells) != 2 or min(self.layer_cells) < 1:
+            raise ValueError(f"layer_cells must be two counts of at least 1, "
+                             f"got {self.layer_cells}")
+        _positive(self, "carrier_frequency_hz", "antenna_spacing_wl",
+                  "array_to_first_layer_wl", "inter_layer_spacing_wl", "cell_spacing_wl",
+                  "antenna_area_wl2", "meta_atom_area_wl2")
 
     @property
     def wavelength(self):
-        return C0 / self.carrier_frequency
+        return C0 / self.carrier_frequency_hz
+
+    @property
+    def n_cells(self):
+        return self.layer_cells[0] * self.layer_cells[1]
 
     def antenna_xy(self):
-        return np.asarray(self.array_positions, dtype=float)
+        """(N, 2) antenna coordinates in meters on the most-square grid:
+        n=4 -> 2x2, n=2 -> 1x2 line."""
+        n = self.n_antennas
+        rows = math.isqrt(n)
+        while n % rows:
+            rows -= 1
+        return _centered_grid(rows, n // rows, self.antenna_spacing_wl * self.wavelength)
 
-
-def make_geometry(n_antennas, antenna_spacing, array_to_first_layer,
-                  inter_layer_spacing, n_layers, layer_cells, cell_spacing,
-                  carrier_frequency, antenna_effective_area, meta_atom_area):
-    """Build a SimGeometry from scalar parameters (all lengths in meters);
-    every layer is a layer_cells = (qx, qy) grid."""
-    qx, qy = layer_cells
-    return SimGeometry(
-        array_positions=_centered_square_array(n_antennas, antenna_spacing),
-        array_to_first_layer=array_to_first_layer,
-        inter_layer_spacing=inter_layer_spacing,
-        grid=LayerGrid(qx, qy, cell_spacing),
-        n_layers=n_layers,
-        carrier_frequency=carrier_frequency,
-        antenna_effective_area=antenna_effective_area,
-        meta_atom_area=meta_atom_area,
-    )
+    def atom_xy(self):
+        """(Q, 2) atom coordinates in meters, in index order."""
+        qx, qy = self.layer_cells
+        return _centered_grid(qx, qy, self.cell_spacing_wl * self.wavelength)
 
 
 def transverse_distances(src_xy, dst_xy, axial):

@@ -43,21 +43,19 @@ def coupling_coefficient(distance, axial, area, wavelength):
 
 def build_w1(geometry):
     """Antenna-array-to-first-layer coupling matrix, N x Q."""
-    d = transverse_distances(geometry.antenna_xy(),
-                             geometry.grid.positions(),
-                             geometry.array_to_first_layer)
-    return coupling_coefficient(d, geometry.array_to_first_layer,
-                                geometry.antenna_effective_area,
-                                geometry.wavelength)
+    lam = geometry.wavelength
+    sigma = geometry.array_to_first_layer_wl * lam
+    d = transverse_distances(geometry.antenna_xy(), geometry.atom_xy(), sigma)
+    return coupling_coefficient(d, sigma, geometry.antenna_area_wl2 * lam ** 2, lam)
 
 
 def build_w(geometry):
     """Coupling matrix between any two adjacent layers, Q x Q."""
-    xy = geometry.grid.positions()
-    d = transverse_distances(xy, xy, geometry.inter_layer_spacing)
-    return coupling_coefficient(d, geometry.inter_layer_spacing,
-                                geometry.meta_atom_area,
-                                geometry.wavelength)
+    lam = geometry.wavelength
+    s = geometry.inter_layer_spacing_wl * lam
+    xy = geometry.atom_xy()
+    d = transverse_distances(xy, xy, s)
+    return coupling_coefficient(d, s, geometry.meta_atom_area_wl2 * lam ** 2, lam)
 
 
 @lru_cache(maxsize=8)

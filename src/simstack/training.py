@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import SimDevice
+from .geometry import SimGeometry
 from .linklevel import complex_noise, generate_channel, make_constellation
 from .optim import OPTIMIZERS, make_optimizer, minimize
 from .precoding import (Precoder, TrainablePrecoder, effective_channel,
@@ -176,17 +177,12 @@ def finite_difference_check(step=1e-4, seed=7, snr=10.0):
     losses from an independent forward pass. Returns a dict of max
     relative errors.
     """
-    from .geometry import make_geometry
-
     rng = np.random.default_rng(seed)
     # unit carrier wavelength; half-wavelength spacings and (lambda/2)^2 areas
-    geometry = make_geometry(n_antennas=2, antenna_spacing=0.5,
-                             array_to_first_layer=0.5, inter_layer_spacing=0.5,
-                             n_layers=3, layer_cells=(4, 4), cell_spacing=0.5,
-                             carrier_frequency=3.0e8, antenna_effective_area=0.25,
-                             meta_atom_area=0.25)
+    geometry = SimGeometry(n_antennas=2, n_layers=3, layer_cells=(4, 4),
+                           carrier_frequency_hz=3.0e8, array_to_first_layer_wl=0.5)
     ws = coupling_chain(geometry)
-    device = SimDevice(geometry.grid.count, ["ac", "pc", "pc"], rng=rng)
+    device = SimDevice(geometry.n_cells, ["ac", "pc", "pc"], rng=rng)
     k, n, s = 2, 2, 16
     total_power = float(k)
     h = generate_channel(16, k, rng)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from simstack.cli import bundled_config_path
-from simstack.config import load_config
-from simstack.geometry import make_geometry
+from simstack.config import bundled_config_path, load_config
+from simstack.geometry import SimGeometry
 
 TINY_CONFIG = """\
 geometry:
@@ -39,11 +38,8 @@ simulation:
 @pytest.fixture(scope="session")
 def small_geometry():
     # unit wavelength, half-wavelength spacings, three 4x4 layers
-    return make_geometry(n_antennas=2, antenna_spacing=0.5,
-                         array_to_first_layer=0.5, inter_layer_spacing=0.5,
-                         n_layers=3, layer_cells=(4, 4), cell_spacing=0.5,
-                         carrier_frequency=3.0e8, antenna_effective_area=0.25,
-                         meta_atom_area=0.25)
+    return SimGeometry(n_antennas=2, n_layers=3, layer_cells=(4, 4),
+                       carrier_frequency_hz=3.0e8, array_to_first_layer_wl=0.5)
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +49,7 @@ def reference_config():
 
 @pytest.fixture(scope="session")
 def reference_geometry(reference_config):
-    return reference_config.build_geometry()
+    return reference_config.geometry
 
 
 @pytest.fixture(scope="session")

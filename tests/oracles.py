@@ -1,8 +1,31 @@
 """Reference implementations that the tests compare the package against:
-closed-form MSE expressions, and the row-form propagation engine and
-training evaluation that the two-sided sweep replaced."""
+scalar coupling entries and atom positions, closed-form MSE expressions,
+and the row-form propagation engine and training evaluation that the
+two-sided sweep replaced."""
+
+import cmath
+import math
 
 import numpy as np
+
+
+def scalar_coupling(d, axial, area, lam):
+    """One coupling coefficient, re-evaluated with cmath and no numpy."""
+    cos_theta = axial / d
+    return (area * cos_theta / d) * (1.0 / (2.0 * math.pi * d) - 1j / lam) \
+        * cmath.exp(2j * math.pi * d / lam)
+
+
+def atom_position(geometry, q):
+    """Transverse (x, y) of atom q = qx * qy_count + qy, in meters; the
+    grid centroid sits at (0, 0)."""
+    qx_count, qy_count = geometry.layer_cells
+    if not (0 <= q < qx_count * qy_count):
+        raise IndexError(f"atom index {q} out of range for {qx_count * qy_count} cells")
+    qx, qy = divmod(q, qy_count)
+    spacing = geometry.cell_spacing_wl * geometry.wavelength
+    return ((qx - (qx_count - 1) / 2.0) * spacing,
+            (qy - (qy_count - 1) / 2.0) * spacing)
 
 
 def spectral_mse(singular_values, snr, k):
@@ -27,7 +50,6 @@ def mse_with_optimal_scale(p, g, h, noise_var):
     den = np.linalg.norm(f) ** 2 + k * noise_var
     num = np.real(np.trace(f))
     return float(k - num ** 2 / den), float(num / den)
-
 
 
 class RowForwardOperator:

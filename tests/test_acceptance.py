@@ -17,7 +17,6 @@ failure). These are deliberately heavier than the unit tests; the whole
 module runs in roughly ten minutes on one core.
 """
 
-import cmath
 import dataclasses
 import math
 
@@ -30,7 +29,8 @@ from simstack.device import SimDevice
 from simstack.experiment import aggregate, run_trials
 from simstack.linklevel import (ebn0_to_noise_variance, generate_channel,
                                 link_snr, make_constellation, simulate_block)
-from oracles import mse_with_optimal_scale, spectral_mse
+from oracles import (atom_position, mse_with_optimal_scale, scalar_coupling,
+                     spectral_mse)
 from simstack.precoding import closed_form_mse, mmse_precoder
 from simstack.propagation import ForwardOperator, coupling_chain
 from simstack.training import empirical_mse, finite_difference_check, train
@@ -39,19 +39,6 @@ from simstack.training import empirical_mse, finite_difference_check, train
 def _report(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} — {detail}")
     return ok
-
-
-def _scalar_coupling(d, axial, area, lam):
-    cos_theta = axial / d
-    return (area * cos_theta / d) * (1.0 / (2.0 * math.pi * d) - 1j / lam) \
-        * cmath.exp(2j * math.pi * d / lam)
-
-
-def _atom_position(grid, q):
-    # transverse (x, y) of atom q = qx * qy_count + qy, grid centred on the axis
-    qx, qy = divmod(q, grid.qy_count)
-    return ((qx - (grid.qx_count - 1) / 2.0) * grid.spacing,
-            (qy - (grid.qy_count - 1) / 2.0) * grid.spacing)
 
 
 def test_criterion_1_coupling_entries(reference_geometry):
@@ -63,24 +50,24 @@ def test_criterion_1_coupling_entries(reference_geometry):
 
     w1 = ws[0]
     assert w1.shape == (4, 144)
-    sigma = g.array_to_first_layer
+    sigma = g.array_to_first_layer_wl * lam
     for n in range(4):
-        xn, yn = g.array_positions[n]
+        xn, yn = g.antenna_xy()[n]
         for q in range(144):
-            xq, yq = _atom_position(g.grid, q)
+            xq, yq = atom_position(g, q)
             d = math.sqrt((xq - xn) ** 2 + (yq - yn) ** 2 + sigma ** 2)
-            want = _scalar_coupling(d, sigma, g.antenna_effective_area, lam)
+            want = scalar_coupling(d, sigma, g.antenna_area_wl2 * lam ** 2, lam)
             worst = max(worst, abs(w1[n, q] - want) / abs(want))
 
     # every layer-to-layer matrix of the chain against one scalar evaluation
-    s = g.inter_layer_spacing
+    s = g.inter_layer_spacing_wl * lam
     want = np.empty((144, 144), dtype=complex)
     for qp in range(144):
-        xa, ya = _atom_position(g.grid, qp)
+        xa, ya = atom_position(g, qp)
         for q in range(144):
-            xb, yb = _atom_position(g.grid, q)
+            xb, yb = atom_position(g, q)
             d = math.sqrt((xb - xa) ** 2 + (yb - ya) ** 2 + s ** 2)
-            want[qp, q] = _scalar_coupling(d, s, g.meta_atom_area, lam)
+            want[qp, q] = scalar_coupling(d, s, g.meta_atom_area_wl2 * lam ** 2, lam)
     for w in ws[1:]:
         assert w.shape == (144, 144)
         worst = max(worst, float(np.max(np.abs(w - want) / np.abs(want))))
@@ -223,7 +210,7 @@ def test_criterion_6_ber_ordering_at_high_contrast(reference_config):
 
 def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config):
     cfg = reference_config
-    geometry = cfg.build_geometry()
+    geometry = cfg.geometry
     ws = coupling_chain(geometry)
     qpsk = make_constellation(4)
     k = cfg.simulation.n_users
@@ -236,9 +223,9 @@ def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config
     seeds = np.random.SeedSequence(4242).spawn(n_draws)
     for t in range(n_draws):
         rng = np.random.default_rng(seeds[t])
-        h = generate_channel(geometry.grid.count, k, rng)
+        h = generate_channel(geometry.n_cells, k, rng)
 
-        dev_mb = SimDevice(geometry.grid.count, kinds,
+        dev_mb = SimDevice(geometry.n_cells, kinds,
                            pc_amplitude=cfg.device.pc_amplitude, rng=rng)
         fit_sim_to_target(ws, dev_mb, svd_target(h, geometry.n_antennas),
                           iterations=cfg.fitting.iterations,
@@ -247,7 +234,7 @@ def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config
         g_mb = ForwardOperator(ws, dev_mb.taus()).matrix
         mse_mb = closed_form_mse(g_mb, h, snr)
 
-        dev_dd = SimDevice(geometry.grid.count, kinds,
+        dev_dd = SimDevice(geometry.n_cells, kinds,
                            pc_amplitude=cfg.device.pc_amplitude, rng=rng)
         train(ws, dev_dd, h, cfg.training, qpsk, total_power, snr=snr, seed=rng)
         g_dd = ForwardOperator(ws, dev_dd.taus()).matrix

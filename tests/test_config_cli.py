@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -6,10 +9,11 @@ import yaml
 from simstack.cli import bundled_config_path, main
 from simstack.config import (ConfigConstraintError, ConfigFileError,
                              ConfigSchemaError, CurveSpec, DeviceSection,
-                             ExperimentConfig, FittingSection, GeometrySection,
-                             OutputSection, SimulationSection, dump_config,
-                             load_config, parse_config)
+                             ExperimentConfig, FittingSection, OutputSection,
+                             SimulationSection, dump_config, load_config,
+                             parse_config)
 from simstack.experiment import read_ber_csv
+from simstack.geometry import SimGeometry
 from simstack.training import TrainingConfig
 
 
@@ -35,11 +39,12 @@ class TestBundledConfig:
 
     def test_geometry_in_wavelengths(self, reference_config, reference_geometry):
         lam = 3.0e8 / 28.0e9
-        assert reference_geometry.wavelength == pytest.approx(lam)
-        assert reference_geometry.array_to_first_layer == pytest.approx(14.0 * lam)
-        assert reference_geometry.inter_layer_spacing == pytest.approx(0.5 * lam)
-        assert reference_geometry.meta_atom_area == pytest.approx(0.25 * lam ** 2)
-        assert reference_geometry.grid.count == 144
+        g = reference_geometry
+        assert g.wavelength == pytest.approx(lam)
+        assert g.array_to_first_layer_wl * g.wavelength == pytest.approx(14.0 * lam)
+        assert g.inter_layer_spacing_wl * g.wavelength == pytest.approx(0.5 * lam)
+        assert g.meta_atom_area_wl2 * g.wavelength ** 2 == pytest.approx(0.25 * lam ** 2)
+        assert g.n_cells == 144
         assert reference_geometry.n_layers == 8
 
     def test_build_device(self, reference_config):
@@ -106,6 +111,13 @@ class TestValidation:
             parse_config(tiny_raw)
         assert "layer_kinds" in str(err.value)
         assert "n_layers" in str(err.value)
+
+    @pytest.mark.parametrize("cells", [[4], [4, 4, 4], [0, 4], [4, -1], [4.0, 4], [True, 4]])
+    def test_bad_layer_cells(self, tiny_raw, cells):
+        tiny_raw["geometry"]["layer_cells"] = cells
+        with pytest.raises(ConfigSchemaError) as err:
+            parse_config(tiny_raw)
+        assert str(err.value) == "geometry.layer_cells: expected a pair of positive integers"
 
     def test_bad_layer_kind(self, tiny_raw):
         tiny_raw["device"]["layer_kinds"] = ["ac", "rc"]
@@ -206,8 +218,8 @@ class TestSchema:
                "simulation": {"n_users": 2,
                               "curves": [{"modulation": "qpsk", "ebn0_db": [4.0]}]}}
         cfg = parse_config(raw)
-        assert cfg.geometry == GeometrySection(n_antennas=2, n_layers=2, layer_cells=(4, 4),
-                                               carrier_frequency_hz=3.0e8)
+        assert cfg.geometry == SimGeometry(n_antennas=2, n_layers=2, layer_cells=(4, 4),
+                                           carrier_frequency_hz=3.0e8)
         assert cfg.device == DeviceSection(layer_kinds=("ac", "pc"))
         assert cfg.training == TrainingConfig()
         assert cfg.fitting == FittingSection()
@@ -242,6 +254,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "master_seed: 20260817" in out
         assert "# sha256:" in out
+
+    def test_module_entry_point_runs_without_warning(self):
+        # `python -m simstack.cli` warns if importing the package already
+        # imported the cli module
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["simstack"].__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "simstack.cli", "validate", str(bundled_config_path())],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "# sha256:" in proc.stdout
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"

@@ -73,7 +73,7 @@ def test_constructor_validation():
 
 
 def test_from_geometry_sizes(small_geometry):
-    dev = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+    dev = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                     rng=np.random.default_rng(0))
     assert dev.params.shape == dev.frozen_phases.shape == (3, 16)
     assert dev.pc.tolist() == [False, True, True]

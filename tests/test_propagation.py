@@ -4,24 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from simstack.geometry import make_geometry
+from oracles import atom_position, scalar_coupling
+from simstack.geometry import SimGeometry
 from simstack.propagation import (ForwardOperator, build_w, build_w1,
                                   coupling_chain, coupling_coefficient,
                                   radiated_power)
-
-
-def _scalar_coupling(d, axial, area, lam):
-    # independent re-evaluation with cmath, no numpy
-    cos_theta = axial / d
-    return (area * cos_theta / d) * (1.0 / (2.0 * math.pi * d) - 1j / lam) \
-        * cmath.exp(2j * math.pi * d / lam)
-
-
-def _atom_position(grid, q):
-    # transverse (x, y) of atom q = qx * qy_count + qy, grid centred on the axis
-    qx, qy = divmod(q, grid.qy_count)
-    return ((qx - (grid.qx_count - 1) / 2.0) * grid.spacing,
-            (qy - (grid.qy_count - 1) / 2.0) * grid.spacing)
 
 
 def test_w1_entries_scalar_oracle(small_geometry):
@@ -29,13 +16,13 @@ def test_w1_entries_scalar_oracle(small_geometry):
     w1 = build_w1(g)
     assert w1.shape == (2, 16)
     lam = g.wavelength
-    sigma = g.array_to_first_layer
+    sigma = g.array_to_first_layer_wl * lam
     for n in range(g.n_antennas):
-        xn, yn = g.array_positions[n]
-        for q in range(g.grid.count):
-            xq, yq = _atom_position(g.grid, q)
+        xn, yn = g.antenna_xy()[n]
+        for q in range(g.n_cells):
+            xq, yq = atom_position(g, q)
             d = math.sqrt((xq - xn) ** 2 + (yq - yn) ** 2 + sigma ** 2)
-            want = _scalar_coupling(d, sigma, g.antenna_effective_area, lam)
+            want = scalar_coupling(d, sigma, g.antenna_area_wl2 * lam ** 2, lam)
             assert abs(w1[n, q] - want) <= 1e-12 * abs(want)
 
 
@@ -43,13 +30,14 @@ def test_w_ell_entries_scalar_oracle(small_geometry):
     g = small_geometry
     w2 = build_w(g)
     assert w2.shape == (16, 16)
-    lam, s = g.wavelength, g.inter_layer_spacing
+    lam = g.wavelength
+    s = g.inter_layer_spacing_wl * lam
     for qp in range(16):
-        xa, ya = _atom_position(g.grid, qp)
+        xa, ya = atom_position(g, qp)
         for q in range(16):
-            xb, yb = _atom_position(g.grid, q)
+            xb, yb = atom_position(g, q)
             d = math.sqrt((xb - xa) ** 2 + (yb - ya) ** 2 + s ** 2)
-            want = _scalar_coupling(d, s, g.meta_atom_area, lam)
+            want = scalar_coupling(d, s, g.meta_atom_area_wl2 * lam ** 2, lam)
             assert abs(w2[qp, q] - want) <= 1e-12 * abs(want)
 
 
@@ -65,14 +53,8 @@ def test_wavelength_unit_scaling_invariance():
     matrices at any carrier: lengths scale with lambda, areas with lambda^2,
     and every factor of the coupling formula cancels."""
     def build(f0):
-        lam = 3.0e8 / f0
-        return make_geometry(n_antennas=2, antenna_spacing=0.5 * lam,
-                             array_to_first_layer=0.5 * lam,
-                             inter_layer_spacing=0.5 * lam,
-                             n_layers=2, layer_cells=(4, 4),
-                             cell_spacing=0.5 * lam, carrier_frequency=f0,
-                             antenna_effective_area=0.25 * lam ** 2,
-                             meta_atom_area=0.25 * lam ** 2)
+        return SimGeometry(n_antennas=2, n_layers=2, layer_cells=(4, 4),
+                           carrier_frequency_hz=f0, array_to_first_layer_wl=0.5)
     chain_a = coupling_chain(build(3.0e8))
     chain_b = coupling_chain(build(28.0e9))
     for wa, wb in zip(chain_a, chain_b):

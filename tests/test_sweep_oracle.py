@@ -78,7 +78,7 @@ def test_h_cogradients_match_reverse_sweep(geometry, rng):
 @pytest.mark.parametrize("iterations, tolerance", [(150, 1e-3), (150, 0.9)])
 def test_fit_bit_identical(geometry, monkeypatch, iterations, tolerance):
     ws = coupling_chain(geometry)
-    q = geometry.grid.count
+    q = geometry.n_cells
     h = generate_channel(q, geometry.n_antennas, np.random.default_rng(3))
     target = design.svd_target(h, geometry.n_antennas)
     base = SimDevice(q, _kinds(geometry), rng=np.random.default_rng(4))
@@ -96,7 +96,7 @@ def test_fit_bit_identical(geometry, monkeypatch, iterations, tolerance):
 
 
 def _evaluation_case(geometry, k, rng):
-    q, n = geometry.grid.count, geometry.n_antennas
+    q, n = geometry.n_cells, geometry.n_antennas
     device = SimDevice(q, _kinds(geometry), rng=rng)
     tp = TrainablePrecoder(float(k), rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
     h = generate_channel(q, k, rng)

@@ -86,7 +86,7 @@ def _train_setup(iterations=60):
 class TestTrain:
     def test_returns_trained_state(self, small_geometry):
         h, config = _train_setup()
-        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+        device = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                            rng=np.random.default_rng(4))
         device, pre, report = train(coupling_chain(small_geometry), device, h, config,
                                     QPSK, total_power=2.0, snr=10.0, seed=123)
@@ -100,7 +100,7 @@ class TestTrain:
 
     def test_deterministic_given_seed(self, small_geometry):
         h, config = _train_setup()
-        base = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+        base = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                          rng=np.random.default_rng(4))
         out = []
         for _ in range(2):
@@ -114,7 +114,7 @@ class TestTrain:
 
     def test_seed_changes_trajectory(self, small_geometry):
         h, _ = _train_setup()
-        base = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+        base = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                          rng=np.random.default_rng(4))
         losses = []
         for seed in (1, 2):
@@ -127,7 +127,7 @@ class TestTrain:
     def test_zero_iterations_keeps_mmse_init(self, small_geometry):
         h, _ = _train_setup()
         config = TrainingConfig(pilot_symbols=32, iterations=0, step_size=0.02)
-        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+        device = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                            rng=np.random.default_rng(4))
         x0 = device.flat().copy()
         g0 = ForwardOperator(coupling_chain(small_geometry),
@@ -142,7 +142,7 @@ class TestTrain:
     def test_training_improves_on_init(self, small_geometry):
         # enough iterations to reliably beat the model-based starting point
         h, config = _train_setup(iterations=150)
-        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+        device = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                            rng=np.random.default_rng(4))
         device, pre, report = train(coupling_chain(small_geometry), device, h, config,
                                     QPSK, total_power=2.0, snr=10.0, seed=123)
@@ -151,7 +151,7 @@ class TestTrain:
     def test_rejects_pilot_block_smaller_than_users(self, small_geometry):
         h, _ = _train_setup()
         config = TrainingConfig(pilot_symbols=1, iterations=5, step_size=0.02)
-        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+        device = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                            rng=np.random.default_rng(4))
         with pytest.raises(ValueError):
             train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
@@ -162,7 +162,7 @@ class TestTrain:
         # near-noiseless start so the scrambled loss clears the 10x threshold
         config = TrainingConfig(pilot_symbols=32, iterations=50, step_size=1e8,
                                 optimizer="sgd")
-        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+        device = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                            rng=np.random.default_rng(4))
         with pytest.raises(TrainingDivergenceError):
             train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
@@ -173,7 +173,7 @@ class TestTrain:
         # still carry a positive receiver scale
         h, _ = _train_setup()
         config = TrainingConfig(pilot_symbols=32, iterations=0, step_size=0.02)
-        device = SimDevice(small_geometry.grid.count, ("ac", "pc", "pc"),
+        device = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
                            rng=np.random.default_rng(4))
         ws = coupling_chain(small_geometry)
         p = mmse_precoder(ForwardOperator(ws, device.taus()).matrix, h,
@@ -195,13 +195,10 @@ def test_evaluation_gradient_more_antennas_than_users(rng):
     """Central differences of the training evaluation with N = 4 != K = 2 on
     a mixed ac/pc stack, where swapping the K x N and N x K factors of the
     cogradients cannot go unnoticed."""
-    from simstack.geometry import make_geometry
+    from simstack.geometry import SimGeometry
     from simstack.training import _evaluate
-    geometry = make_geometry(n_antennas=4, antenna_spacing=0.5,
-                             array_to_first_layer=0.5, inter_layer_spacing=0.5,
-                             n_layers=3, layer_cells=(4, 4), cell_spacing=0.5,
-                             carrier_frequency=3.0e8, antenna_effective_area=0.25,
-                             meta_atom_area=0.25)
+    geometry = SimGeometry(n_antennas=4, n_layers=3, layer_cells=(4, 4),
+                           carrier_frequency_hz=3.0e8, array_to_first_layer_wl=0.5)
     ws = coupling_chain(geometry)
     n, k, s = 4, 2, 24
     device = SimDevice(16, ("pc", "ac", "pc"), rng=rng)
