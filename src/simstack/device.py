@@ -59,6 +59,7 @@ class SimDevice:
         for ell, pc in enumerate(self.pc):
             (self.params if pc else self.frozen_phases)[ell] = \
                 rng.uniform(0.0, 2.0 * np.pi, shape[1])
+        self._frozen_phasors = np.exp(1j * self.frozen_phases[~self.pc])
 
     @property
     def n_params(self):
@@ -66,11 +67,12 @@ class SimDevice:
 
     def taus(self):
         """The (L, Q) complex transmission state."""
-        pc = self.pc[:, None]
-        amplitude = np.where(pc, self.pc_amplitude,
-                             self.alpha_min + (self.alpha_max - self.alpha_min)
-                             * expit(self.params))
-        return amplitude * np.exp(1j * np.where(pc, self.params, self.frozen_phases))
+        pc, ac = self.pc, ~self.pc
+        taus = np.empty(self.params.shape, complex)
+        taus[pc] = self.pc_amplitude * np.exp(1j * self.params[pc])
+        taus[ac] = (self.alpha_min + (self.alpha_max - self.alpha_min)
+                    * expit(self.params[ac])) * self._frozen_phasors
+        return taus
 
     def flat(self):
         return self.params.flatten()
@@ -85,10 +87,11 @@ class SimDevice:
         """Real gradient of the loss with respect to flat(), from the (L, Q)
         tau cogradients (convention dL = 2 Re sum conj(gbar)*dtau).
         """
+        pc, ac = self.pc, ~self.pc
         gbar = np.conj(tau_cograds)
-        s = expit(self.params)
+        s = expit(self.params[ac])
         dalpha_du = (self.alpha_max - self.alpha_min) * s * (1.0 - s)
-        grad = np.where(self.pc[:, None],
-                        -2.0 * np.imag(gbar * self.taus()),
-                        2.0 * np.real(gbar * np.exp(1j * self.frozen_phases)) * dalpha_du)
+        grad = np.empty(self.params.shape)
+        grad[pc] = -2.0 * np.imag(gbar[pc] * self.taus()[pc])
+        grad[ac] = 2.0 * np.real(gbar[ac] * self._frozen_phasors) * dalpha_du
         return grad.ravel()

@@ -39,6 +39,7 @@ class TrialRecord:
     index: int
     counts: dict = field(default_factory=dict)   # (method, mod, ebn0) -> (errors, bits)
     fit_residual: float = None
+    fit_converged: bool = None
     snapshots: dict = None                       # label -> trained flat parameters
     failed: bool = False
     note: str = ""
@@ -70,6 +71,7 @@ def run_trial(cfg, index, trial_seed):
                                 step_size=cfg.fitting.step_size,
                                 tolerance=cfg.fitting.tolerance)
         record.fit_residual = fit.residual
+        record.fit_converged = fit.converged
         g_fit = ForwardOperator(ws, device.taus()).matrix
         if record.snapshots is not None:
             record.snapshots["model_based"] = device.flat()
@@ -193,7 +195,8 @@ def run_experiment(cfg, out_dir, workers=1):
     for modulation, name in outputs.items():
         write_ber_csv(out_dir / name, ber_rows(cfg, totals, modulation), seed, sha)
 
-    residuals = [r.fit_residual for r in records if r.fit_residual is not None]
+    fits = [r for r in records if r.fit_residual is not None]
+    residuals = [r.fit_residual for r in fits]
     from . import __version__
     manifest = {
         "version": __version__,
@@ -206,6 +209,7 @@ def run_experiment(cfg, out_dir, workers=1):
         "outputs": list(outputs.values()),
         "fit_residual_mean": float(np.mean(residuals)) if residuals else None,
         "fit_residual_max": float(np.max(residuals)) if residuals else None,
+        "n_fit_not_converged": sum(not r.fit_converged for r in fits),
         "config": cfg.to_dict(),
     }
     (out_dir / cfg.output.manifest).write_text(json.dumps(manifest, indent=2) + "\n")

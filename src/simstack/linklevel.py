@@ -27,6 +27,8 @@ def gray_pam(bits_per_axis):
 class Constellation:
     order: int
     points: np.ndarray       # unit mean energy, Gray-labeled by index
+    thresholds: np.ndarray   # per-axis decision thresholds, ascending
+    lattice_labels: np.ndarray   # label at sorted position (px, py), flat px * n + py
 
     @property
     def bits_per_symbol(self):
@@ -36,8 +38,22 @@ class Constellation:
         return self.points[labels]
 
     def demap(self, z):
-        """Minimum-distance hard decisions; returns integer labels."""
-        return np.argmin(np.abs(np.asarray(z)[..., None] - self.points) ** 2, axis=-1)
+        """Minimum-distance hard decisions, sliced one axis at a time: z.real
+        and z.imag each go to the nearest PAM level. At an exact midpoint
+        the lower Gray label wins, as the first of equal distances would.
+        A NaN or infinite component gives label 0. Returns integer labels
+        of z's shape."""
+        z = np.asarray(z)
+        px = np.zeros(z.shape, np.intp)
+        py = np.zeros(z.shape, np.intp)
+        for t in self.thresholds:       # in place: fresh large arrays cost page faults
+            px += z.real > t
+            py += z.imag > t
+        px *= len(self.thresholds) + 1
+        px += py
+        labels = np.asarray(self.lattice_labels.take(px))
+        labels[~np.isfinite(z)] = 0
+        return labels
 
 
 def make_constellation(order):
@@ -49,7 +65,13 @@ def make_constellation(order):
     xi, yi = np.divmod(np.arange(order), 1 << bpa)
     points = pam[xi] + 1j * pam[yi]
     points /= np.sqrt(np.mean(np.abs(points) ** 2))
-    return Constellation(order, points)
+    gray = np.argsort(pam)                  # Gray label at each sorted position
+    levels = points[gray << bpa].real       # the points with gray_y = 0
+    mid = (levels[:-1] + levels[1:]) / 2.0
+    # the upper level takes x > mid, or x >= mid when its label is the lower one
+    thresholds = np.where(gray[:-1] < gray[1:], mid, np.nextafter(mid, -np.inf))
+    lattice_labels = ((gray[:, None] << bpa) | gray).ravel()
+    return Constellation(order, points, thresholds, lattice_labels)
 
 
 def constellation_for(modulation):
@@ -66,8 +88,13 @@ def generate_channel(q, k, rng):
 
 
 def complex_noise(shape, sigma2, rng):
-    return np.sqrt(sigma2 / 2.0) * (rng.standard_normal(shape)
-                                    + 1j * rng.standard_normal(shape))
+    """CN(0, sigma2) samples: the real parts are drawn first, then the
+    imaginary parts, each scaled by sqrt(sigma2 / 2)."""
+    noise = np.empty(shape, complex)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    noise *= np.sqrt(sigma2 / 2.0)
+    return noise
 
 
 def ebn0_to_noise_variance(ebn0_db, constellation):

@@ -25,6 +25,7 @@ class TestRunTrial:
             assert bits == 800
             assert 0 <= errors <= bits
         assert 0 < rec.fit_residual < 1.0
+        assert rec.fit_converged is False
 
     def test_deterministic(self, tiny_config):
         a = run_trial(tiny_config, 0, _seed(5)[0])
@@ -44,6 +45,7 @@ class TestRunTrial:
         rec = run_trial(cfg, 0, _seed(1)[0])
         assert set(rec.counts) == {("no_sim", "qpsk", 4.0)}
         assert rec.fit_residual is None
+        assert rec.fit_converged is None
 
 
 class TestAggregate:
@@ -100,6 +102,17 @@ class TestRunExperiment:
         assert manifest["outputs"] == ["ber_qpsk.csv"]
         assert 0 < manifest["fit_residual_mean"] <= manifest["fit_residual_max"]
         assert manifest["config"]["simulation"]["master_seed"] == 7
+
+    @pytest.mark.parametrize("tolerance, not_converged", [(0.0, 2), (1e3, 0)])
+    def test_manifest_counts_fits_short_of_tolerance(self, tiny_config, tmp_path,
+                                                     tolerance, not_converged):
+        import dataclasses
+        fitting = dataclasses.replace(tiny_config.fitting, iterations=5,
+                                      tolerance=tolerance)
+        cfg = dataclasses.replace(tiny_config, fitting=fitting)
+        run_experiment(cfg, tmp_path / "out", workers=1)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["n_fit_not_converged"] == not_converged
 
     def test_worker_count_is_immaterial(self, tiny_config, tmp_path):
         serial = run_experiment(tiny_config, tmp_path / "serial", workers=1)

@@ -8,6 +8,8 @@ from simstack.linklevel import (MODULATIONS, Constellation, complex_noise,
                                 gray_pam, link_snr, make_constellation,
                                 simulate_block)
 
+from oracles import exhaustive_demap
+
 
 def test_gray_pam_levels():
     assert np.array_equal(np.sort(gray_pam(1)), [-1, 1])
@@ -48,6 +50,61 @@ def test_map_demap_round_trip(order, rng):
     assert np.array_equal(c.demap(z), labels)
 
 
+@pytest.mark.parametrize("order", [4, 16])
+def test_slicer_matches_exhaustive_search(order):
+    # 50 blocks of 2e5 noisy symbols, noise variance from 1e-3 to 3
+    c = make_constellation(order)
+    rng = np.random.default_rng(order)
+    mismatches = 0
+    for sigma2 in np.geomspace(1e-3, 3.0, 50):
+        z = c.map(rng.integers(0, order, 200_000)) + complex_noise(200_000, sigma2, rng)
+        mismatches += np.count_nonzero(c.demap(z) != exhaustive_demap(c, z))
+    assert mismatches == 0
+
+
+# Gray label of the winning level at each exact midpoint, low to high
+MIDPOINT_WINNERS = {4: [0], 16: [0, 1, 2]}
+
+
+@pytest.mark.parametrize("order", [4, 16])
+def test_exact_midpoints_resolve_like_exhaustive_search(order):
+    c = make_constellation(order)
+    bpa = c.bits_per_symbol // 2
+    levels = np.unique(c.points.real)
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    assert mids[len(mids) // 2] == 0.0
+    for other in (levels[0], levels[-1], 0.1234, mids[0]):
+        z_re = mids + 1j * other          # imaginary part on a level or off one
+        z_im = other + 1j * mids
+        assert np.array_equal(c.demap(z_re), exhaustive_demap(c, z_re))
+        assert np.array_equal(c.demap(z_im), exhaustive_demap(c, z_im))
+        assert (c.demap(z_re) >> bpa).tolist() == MIDPOINT_WINNERS[order]
+        assert (c.demap(z_im) & ((1 << bpa) - 1)).tolist() == MIDPOINT_WINNERS[order]
+
+
+@pytest.mark.parametrize("order", [4, 16])
+def test_non_finite_samples_get_label_zero(order):
+    c = make_constellation(order)
+    finite = c.points[-1]
+    bad = []
+    for v in (np.nan, np.inf, -np.inf):
+        bad += [complex(v, finite.imag), complex(finite.real, v), complex(v, v)]
+    z = np.array(bad)
+    assert np.array_equal(c.demap(z), np.zeros(len(z), int))
+    assert np.array_equal(exhaustive_demap(c, z), np.zeros(len(z), int))
+
+
+@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("shape", [(7,), (5, 3), (2, 5, 3)])
+def test_demap_keeps_shape(order, shape, rng):
+    c = make_constellation(order)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    labels = c.demap(z)
+    assert labels.shape == shape
+    assert np.issubdtype(labels.dtype, np.integer)
+    assert np.array_equal(labels, exhaustive_demap(c, z))
+
+
 def test_make_constellation_rejects_unknown_order():
     with pytest.raises(ValueError):
         make_constellation(8)
@@ -75,6 +132,17 @@ def test_complex_noise_variance():
     rng = np.random.default_rng(43)
     r = complex_noise((100, 1000), 0.25, rng)
     assert np.isclose(np.mean(np.abs(r) ** 2), 0.25, rtol=0.02)
+
+
+@pytest.mark.parametrize("shape", [(), (9,), (50, 4), (2, 6, 3)])
+@pytest.mark.parametrize("sigma2", [0.25, np.float64(1e-3), 0.0])
+def test_complex_noise_matches_two_draw_expression(shape, sigma2):
+    rng = np.random.default_rng(99)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    want = np.sqrt(sigma2 / 2.0) * (a + 1j * b)
+    got = complex_noise(shape, sigma2, np.random.default_rng(99))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_noise_variance_trivial_points():
@@ -136,6 +204,18 @@ class TestSimulateBlock:
         qam = make_constellation(16)
         with pytest.raises(ValueError):
             simulate_block(np.eye(2), 1.0, 0.1, qam, 1001, rng)
+
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_counts_match_exhaustive_search(self, order, monkeypatch):
+        c = make_constellation(order)
+        f = np.array([[0.8, 0.3j], [-0.2, 1.1]])
+        runs = [simulate_block(f, 1.05, sigma2, c, 4000, np.random.default_rng(seed))
+                for seed in (3, 4) for sigma2 in (0.05, 0.5)]
+        monkeypatch.setattr(Constellation, "demap", exhaustive_demap)
+        want = [simulate_block(f, 1.05, sigma2, c, 4000, np.random.default_rng(seed))
+                for seed in (3, 4) for sigma2 in (0.05, 0.5)]
+        assert runs == want
+        assert all(0 < errors < bits for errors, bits in runs)
 
     def test_reproducible_counts(self):
         qpsk = make_constellation(4)
