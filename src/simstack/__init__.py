@@ -12,8 +12,8 @@ from .experiment import aggregate, run_experiment, run_trial
 from .geometry import SimGeometry
 from .linklevel import (Constellation, constellation_for, generate_channel,
                         make_constellation, simulate_block)
-from .precoding import (Precoder, TrainablePrecoder, closed_form_mse,
-                        effective_channel, mmse_precoder)
+from .precoding import (Precoder, TrainablePrecoder, effective_channel,
+                        mmse_precoder)
 from .propagation import ForwardOperator, coupling_chain, radiated_power
 from .training import (LossReport, TrainingConfig, TrainingDivergenceError,
                        empirical_mse, finite_difference_check, train)
@@ -22,7 +22,7 @@ __all__ = [
     "Constellation", "ExperimentConfig", "FitResult", "ForwardOperator",
     "LossReport", "Precoder", "SimDevice", "SimGeometry",
     "TrainablePrecoder", "TrainingConfig", "TrainingDivergenceError",
-    "aggregate", "bundled_config_path", "closed_form_mse",
+    "aggregate", "bundled_config_path",
     "constellation_for", "coupling_chain", "effective_channel",
     "empirical_mse", "finite_difference_check", "fit_sim_to_target",
     "generate_channel", "load_config", "make_constellation",

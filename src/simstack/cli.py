@@ -79,7 +79,11 @@ def _cmd_validate(args):
 
 
 def _cmd_gradcheck(args):
-    result = finite_difference_check(step=args.step, seed=args.seed or 7)
+    seed = 7 if args.seed is None else args.seed
+    if seed < 0:
+        print(f"usage error: --seed must be at least 0, got {seed}", file=sys.stderr)
+        return 2
+    result = finite_difference_check(step=args.step, seed=seed)
     print(f"parameters checked: {result['n_parameters']}")
     print(f"max relative error, device params:   {result['device']:.3e}")
     print(f"max relative error, precoder params: {result['precoder']:.3e}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MODULATIONS = {"qpsk": 4, "qam16": 16}
+_CHUNK_ROWS = 2048      # symbol rows per simulate_block chunk (2048-4096 time alike)
 
 
 def gray_pam(bits_per_axis):
@@ -88,13 +89,22 @@ def generate_channel(q, k, rng):
 
 
 def complex_noise(shape, sigma2, rng):
-    """CN(0, sigma2) samples: the real parts are drawn first, then the
-    imaginary parts, each scaled by sqrt(sigma2 / 2)."""
-    noise = np.empty(shape, complex)
-    noise.real = rng.standard_normal(shape)
-    noise.imag = rng.standard_normal(shape)
-    noise *= np.sqrt(sigma2 / 2.0)
-    return noise
+    """CN(0, sigma2) samples of the given shape, in one piece."""
+    return next(_noise_chunks(shape, sigma2, rng, [...]))
+
+
+def _noise_chunks(shape, sigma2, rng, rows):
+    """CN(0, sigma2) samples of the given shape, handed out as the slices
+    `rows` of its first axis, in order. The real parts of the whole shape
+    are drawn first, then the imaginary parts one slice at a time, each
+    sample scaled by sqrt(sigma2 / 2): the same draws as one piece."""
+    real = rng.standard_normal(shape)
+    for r in rows:
+        noise = np.empty(real[r].shape, complex)
+        noise.real = real[r]
+        noise.imag = rng.standard_normal(noise.shape)
+        noise *= np.sqrt(sigma2 / 2.0)
+        yield noise
 
 
 def ebn0_to_noise_variance(ebn0_db, constellation):
@@ -116,6 +126,9 @@ def simulate_block(f, beta, sigma2, constellation, n_bits_per_user, rng):
     """Transmit one block through effective channel f (K x K), demap
     beta * y with hard decisions, count bit errors.
 
+    The labels and the real noise parts are drawn whole; the rest streams
+    through row chunks, whose small temporaries are reused, not faulted in.
+
     Returns (bit_errors, total_bits).
     """
     f = np.asarray(f)
@@ -126,6 +139,12 @@ def simulate_block(f, beta, sigma2, constellation, n_bits_per_user, rng):
                          f"{bps}-bit symbols")
     s = n_bits_per_user // bps
     labels = rng.integers(0, constellation.order, (s, k))
-    y = constellation.map(labels) @ f + complex_noise((s, k), sigma2, rng)
-    detected = constellation.demap(beta * y)
-    return count_bit_errors(labels, detected), s * k * bps
+    # the last chunk keeps at least 2 rows: a 1-row product takes BLAS's gemv
+    # path, which sums in another order than the whole-block gemm
+    stops = [0, *range(_CHUNK_ROWS, s - 1, _CHUNK_ROWS), s]
+    chunks = [slice(a, b) for a, b in zip(stops, stops[1:])]
+    errors = 0
+    for rows, noise in zip(chunks, _noise_chunks((s, k), sigma2, rng, chunks)):
+        y = constellation.map(labels[rows]) @ f + noise
+        errors += count_bit_errors(labels[rows], constellation.demap(beta * y))
+    return errors, s * k * bps

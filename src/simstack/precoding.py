@@ -53,15 +53,6 @@ def mmse_precoder(g, h, snr, total_power):
     return Precoder(p, float(total_power), float(beta))
 
 
-def closed_form_mse(g, h, snr):
-    """Sum MSE achieved by the MMSE precoder (trace form):
-    K - tr[(GH)^H (GH (GH)^H + (1/snr) I_N)^{-1} GH]."""
-    m = np.asarray(g) @ np.asarray(h)
-    k = m.shape[1]
-    reg = m @ m.conj().T + (1.0 / snr) * np.eye(m.shape[0])
-    return float(k - np.real(np.trace(m.conj().T @ scipy.linalg.solve(reg, m, assume_a="pos"))))
-
-
 def effective_channel(p, g, h):
     return np.asarray(p) @ np.asarray(g) @ np.asarray(h)
 

@@ -1,6 +1,7 @@
 """Reference implementations that the tests compare the package against:
 scalar coupling entries and atom positions, closed-form MSE expressions,
 the exhaustive minimum-distance demapper that the per-axis slicer
+replaced, the whole-block link simulation that the row-chunked one
 replaced, and the row-form propagation engine and training evaluation
 that the two-sided sweep replaced."""
 
@@ -8,6 +9,7 @@ import cmath
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def scalar_coupling(d, axial, area, lam):
@@ -39,6 +41,15 @@ def spectral_mse(singular_values, snr, k):
     return float(k - np.sum(s2 / (s2 + 1.0 / snr)))
 
 
+def closed_form_mse(g, h, snr):
+    """Sum MSE achieved by the MMSE precoder (trace form):
+    K - tr[(GH)^H (GH (GH)^H + (1/snr) I_N)^{-1} GH]."""
+    m = np.asarray(g) @ np.asarray(h)
+    k = m.shape[1]
+    reg = m @ m.conj().T + (1.0 / snr) * np.eye(m.shape[0])
+    return float(k - np.real(np.trace(m.conj().T @ scipy.linalg.solve(reg, m, assume_a="pos"))))
+
+
 def mse_with_optimal_scale(p, g, h, noise_var):
     """Expected sum MSE of an arbitrary precoder with its optimal receiver
     scale: K - (Re tr F)^2 / (||F||_F^2 + K sigma^2), F = P G H.
@@ -57,6 +68,24 @@ def exhaustive_demap(constellation, z):
     """Hard decisions by exhaustive search: the squared distance from every
     sample to every constellation point, and the first label at the minimum."""
     return np.argmin(np.abs(np.asarray(z)[..., None] - constellation.points) ** 2, axis=-1)
+
+
+def whole_block_simulate(f, beta, sigma2, constellation, n_bits_per_user, rng):
+    """simulate_block as one pass over the whole (S, K) block: labels, then
+    every real part of the noise, then every imaginary part, one product
+    with f and one demap. Returns (bit_errors, total_bits)."""
+    f = np.asarray(f)
+    k = f.shape[1]
+    bps = constellation.bits_per_symbol
+    s = n_bits_per_user // bps
+    labels = rng.integers(0, constellation.order, (s, k))
+    noise = np.empty((s, k), complex)
+    noise.real = rng.standard_normal((s, k))
+    noise.imag = rng.standard_normal((s, k))
+    noise *= np.sqrt(sigma2 / 2.0)
+    y = constellation.map(labels) @ f + noise
+    detected = constellation.demap(beta * y)
+    return int(np.bitwise_count(labels ^ detected).sum()), s * k * bps
 
 
 class RowForwardOperator:

@@ -29,9 +29,9 @@ from simstack.device import SimDevice
 from simstack.experiment import aggregate, run_trials
 from simstack.linklevel import (ebn0_to_noise_variance, generate_channel,
                                 link_snr, make_constellation, simulate_block)
-from oracles import (atom_position, mse_with_optimal_scale, scalar_coupling,
-                     spectral_mse)
-from simstack.precoding import closed_form_mse, mmse_precoder
+from oracles import (atom_position, closed_form_mse, mse_with_optimal_scale,
+                     scalar_coupling, spectral_mse)
+from simstack.precoding import mmse_precoder
 from simstack.propagation import ForwardOperator, coupling_chain
 from simstack.training import empirical_mse, finite_difference_check, train
 

@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 import yaml
 
+from simstack import cli
 from simstack.cli import bundled_config_path, main
 from simstack.config import (ConfigConstraintError, ConfigFileError,
                              ConfigSchemaError, CurveSpec, DeviceSection,
@@ -312,6 +313,26 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    @pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "0"], 0),
+                                            (["--seed", "3"], 3)])
+    def test_gradcheck_runs_the_given_seed(self, monkeypatch, capsys, argv, seed):
+        seen = []
+
+        def check(step, seed):
+            seen.append(seed)
+            return {"n_parameters": 1, "device": 0.0, "precoder": 0.0}
+
+        monkeypatch.setattr(cli, "finite_difference_check", check)
+        assert main(["gradcheck"] + argv) == 0
+        assert seen == [seed]
+
+    def test_gradcheck_rejects_negative_seed(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "finite_difference_check", None)   # must not run
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--seed" in err and "-1" in err
 
     def test_run_tiny_config(self, tmp_path, tiny_config_text, capsys):
         cfg_path = tmp_path / "tiny.yaml"

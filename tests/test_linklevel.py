@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simstack.linklevel import (MODULATIONS, Constellation, complex_noise,
-                                constellation_for, count_bit_errors,
-                                ebn0_to_noise_variance, generate_channel,
-                                gray_pam, link_snr, make_constellation,
-                                simulate_block)
+from simstack.linklevel import (_CHUNK_ROWS, MODULATIONS, Constellation,
+                                complex_noise, constellation_for,
+                                count_bit_errors, ebn0_to_noise_variance,
+                                generate_channel, gray_pam, link_snr,
+                                make_constellation, simulate_block)
 
-from oracles import exhaustive_demap
+from oracles import exhaustive_demap, whole_block_simulate
 
 
 def test_gray_pam_levels():
@@ -224,3 +224,41 @@ class TestSimulateBlock:
                               np.random.default_rng(11)) for _ in range(2)]
         assert out[0] == out[1]
         assert 0 < out[0][0] < out[0][1]
+
+
+class TestChunkedBlock:
+    """simulate_block streams row chunks; the whole-block pass is the oracle."""
+
+    @pytest.mark.parametrize("symbols", [1, 300, _CHUNK_ROWS, 3 * _CHUNK_ROWS,
+                                         3 * _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 700])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_matches_whole_block(self, order, k, symbols):
+        c = make_constellation(order)
+        draw = np.random.default_rng(100 * order + k)
+        f = (draw.standard_normal((k, k)) + 1j * draw.standard_normal((k, k))) / np.sqrt(2 * k)
+        f += np.eye(k)
+        for sigma2 in (0.02, 0.5):
+            got_rng, want_rng = np.random.default_rng(symbols), np.random.default_rng(symbols)
+            got = simulate_block(f, 0.9, sigma2, c, symbols * c.bits_per_symbol, got_rng)
+            want = whole_block_simulate(f, 0.9, sigma2, c, symbols * c.bits_per_symbol,
+                                        want_rng)
+            assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("symbols", [1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                         _CHUNK_ROWS + 2, 3 * _CHUNK_ROWS + 1])
+    def test_no_one_row_chunk(self, symbols, rng, monkeypatch):
+        # a 1-row product would take the gemv path and sum in another order
+        rows = []
+        demap = Constellation.demap
+
+        def spy(self, z):
+            rows.append(len(z))
+            return demap(self, z)
+
+        monkeypatch.setattr(Constellation, "demap", spy)
+        simulate_block(np.eye(3), 1.0, 0.1, make_constellation(4), 2 * symbols, rng)
+        assert sum(rows) == symbols
+        assert max(rows) <= _CHUNK_ROWS + 1
+        assert 1 not in rows or symbols == 1

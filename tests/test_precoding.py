@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import mse_with_optimal_scale, spectral_mse
-from simstack.precoding import (Precoder, TrainablePrecoder, closed_form_mse,
-                                effective_channel, mmse_precoder,
-                                optimal_receiver_scale)
+from oracles import closed_form_mse, mse_with_optimal_scale, spectral_mse
+from simstack.precoding import (Precoder, TrainablePrecoder, effective_channel,
+                                mmse_precoder, optimal_receiver_scale)
 
 
 def _random_channel(rng, q=6, n=4, k=3):
