@@ -6,8 +6,8 @@ and data-driven stack synthesis, and seeded Monte Carlo BER experiments.
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, bundled_config_path, load_config, parse_config
-from .design import FitResult, fit_sim_to_target, svd_target
-from .device import SimDevice
+from .design import FitConfig, FitResult, fit_sim_to_target, svd_target
+from .device import DeviceConfig, SimDevice
 from .experiment import aggregate, run_experiment, run_trial
 from .geometry import SimGeometry
 from .linklevel import (Constellation, constellation_for, generate_channel,
@@ -19,8 +19,8 @@ from .training import (LossReport, TrainingConfig, TrainingDivergenceError,
                        empirical_mse, finite_difference_check, train)
 
 __all__ = [
-    "Constellation", "ExperimentConfig", "FitResult", "ForwardOperator",
-    "LossReport", "Precoder", "SimDevice", "SimGeometry",
+    "Constellation", "DeviceConfig", "ExperimentConfig", "FitConfig", "FitResult",
+    "ForwardOperator", "LossReport", "Precoder", "SimDevice", "SimGeometry",
     "TrainablePrecoder", "TrainingConfig", "TrainingDivergenceError",
     "aggregate", "bundled_config_path",
     "constellation_for", "coupling_chain", "effective_channel",

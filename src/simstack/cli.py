@@ -12,6 +12,7 @@ result directory.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -79,11 +80,14 @@ def _cmd_validate(args):
 
 
 def _cmd_gradcheck(args):
-    seed = 7 if args.seed is None else args.seed
-    if seed < 0:
-        print(f"usage error: --seed must be at least 0, got {seed}", file=sys.stderr)
+    if args.seed < 0:
+        print(f"usage error: --seed must be at least 0, got {args.seed}", file=sys.stderr)
         return 2
-    result = finite_difference_check(step=args.step, seed=seed)
+    if not 0 < args.step < math.inf:
+        print(f"usage error: --step must be positive and finite, got {args.step}",
+              file=sys.stderr)
+        return 2
+    result = finite_difference_check(step=args.step, seed=args.seed)
     print(f"parameters checked: {result['n_parameters']}")
     print(f"max relative error, device params:   {result['device']:.3e}")
     print(f"max relative error, precoder params: {result['precoder']:.3e}")
@@ -121,8 +125,8 @@ def main(argv=None):
 
     p_grad = sub.add_parser("gradcheck",
                             help="finite-difference check of analytic gradients")
-    p_grad.add_argument("--step", type=float, default=1e-4)
-    p_grad.add_argument("--seed", type=int, default=None)
+    p_grad.add_argument("--step", type=float, default=1e-4, help="positive and finite")
+    p_grad.add_argument("--seed", type=int, default=7)
 
     p_demo = sub.add_parser("demo",
                             help="run the bundled reference config (few trials)")

@@ -6,8 +6,9 @@ carrier frequency given separately, so a config is frequency-portable.
 Validation is strict: unknown keys, wrong types, out-of-range values and
 violated cross-field constraints are rejected with the offending key named.
 The section dataclasses are the schema: each states its fields' names,
-types, defaults and ranges once. The geometry and training sections are
-`geometry.SimGeometry` and `training.TrainingConfig` themselves.
+types, defaults and ranges once. The geometry, device, training and
+fitting sections are `geometry.SimGeometry`, `device.DeviceConfig`,
+`training.TrainingConfig` and `design.FitConfig` themselves.
 """
 
 import hashlib
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import yaml
 
-from .device import LAYER_KINDS, SimDevice
+from .design import FitConfig
+from .device import DeviceConfig
 from .geometry import SimGeometry, _at_least, _positive
 from .linklevel import MODULATIONS
 from .training import TrainingConfig
@@ -60,20 +62,6 @@ def _typed(value, types, key):
 # Readers of the list-valued keys; each tuple field names its own in
 # field(metadata={"read": ...}).
 
-def _number_pair(value, where):
-    if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
-        raise ConfigSchemaError(f"{where}: expected a pair of numbers")
-    return tuple(float(v) for v in value)
-
-
-def _kinds(value, where):
-    kinds = tuple(_typed(v, str, where) for v in value)
-    bad = [k for k in kinds if k not in LAYER_KINDS]
-    if bad:
-        raise ConfigSchemaError(f"{where}: unknown layer kinds {bad}")
-    return kinds
-
-
 def _methods(value, where):
     methods = tuple(_typed(v, str, where) for v in value)
     bad = [m for m in methods if m not in METHODS]
@@ -106,30 +94,6 @@ def _curves(value, where):
 
 def _has_separator(name):
     return "/" in name or "\\" in name
-
-
-@dataclass(frozen=True)
-class DeviceSection:
-    layer_kinds: tuple = field(metadata={"read": _kinds})
-    gain_bounds_db: tuple = field(default=(-22.0, 13.0), metadata={"read": _number_pair})
-    pc_amplitude: float = 0.9
-
-    def __post_init__(self):
-        if self.gain_bounds_db[1] <= self.gain_bounds_db[0]:
-            raise ValueError(f"gain_bounds_db upper bound must exceed lower, "
-                             f"got {self.gain_bounds_db}")
-        _positive(self, "pc_amplitude")
-
-
-@dataclass(frozen=True)
-class FittingSection:
-    iterations: int = 1000
-    step_size: float = 0.05
-    tolerance: float = 1e-3
-
-    def __post_init__(self):
-        _at_least(self, 0, "iterations", "tolerance")
-        _positive(self, "step_size")
 
 
 @dataclass(frozen=True)
@@ -178,9 +142,9 @@ class OutputSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     geometry: SimGeometry
-    device: DeviceSection
+    device: DeviceConfig
     training: TrainingConfig
-    fitting: FittingSection
+    fitting: FitConfig
     simulation: SimulationSection
     output: OutputSection
 
@@ -199,12 +163,6 @@ class ExperimentConfig:
     def build_geometry(self):
         """The geometry section itself; the benchmark harness still calls this."""
         return self.geometry
-
-    def build_device(self, rng=None):
-        return SimDevice(self.geometry.n_cells, self.device.layer_kinds,
-                         pc_amplitude=self.device.pc_amplitude,
-                         ac_gain_bounds_db=self.device.gain_bounds_db,
-                         rng=rng)
 
 
 def _plain(obj):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _at_least, _positive
 from .optim import Adam, minimize
 from .propagation import ForwardOperator
 
@@ -39,21 +40,34 @@ def svd_target(h, n):
     return u[:, :n].conj().T
 
 
+@dataclass(frozen=True)
+class FitConfig:
+    """At most `iterations` Adam steps of size `step_size`, until the residual
+    falls below `tolerance`; also the `fitting` section of a config."""
+
+    iterations: int = 1000
+    step_size: float = 0.05
+    tolerance: float = 1e-3
+
+    def __post_init__(self):
+        _at_least(self, 0, "iterations", "tolerance")
+        _positive(self, "step_size")
+
+
 @dataclass
 class FitResult:
     residual: float        # ||G - T||_F / ||T||_F at the returned iterate
     converged: bool
-    n_iterations: int
+    n_iterations: int      # Adam steps taken
 
 
-def fit_sim_to_target(ws, device, target, *, iterations=1000,
-                      step_size=0.05, tolerance=1e-3):
+def fit_sim_to_target(ws, device, target, config=FitConfig()):
     """Fit the device's transmission parameters so the stack response
     through the coupling chain `ws` approaches `target` (N x Q) in
-    relative Frobenius error.
+    relative Frobenius error, as `config` (a FitConfig) bounds it.
 
     Mutates `device` to the best iterate found and returns a FitResult;
-    converged=False flags a residual still at or above `tolerance`.
+    converged=False flags a residual still at or above the tolerance.
     A zero target degenerates the relative error, so the raw power
     ||G||_F^2 is minimized instead (amplitudes drive toward their floor).
     """
@@ -70,10 +84,10 @@ def fit_sim_to_target(ws, device, target, *, iterations=1000,
         return loss, device.param_grad(fwd.tau_cogradients(err / tnorm2))
 
     # `iterations` steps lie between iterations + 1 evaluations
-    x, best_loss, losses = minimize(loss_and_grad, device.flat(), Adam(step_size),
-                                    iterations + 1,
-                                    lambda losses: np.sqrt(losses[-1]) < tolerance)
+    x, best_loss, losses = minimize(loss_and_grad, device.flat(), Adam(config.step_size),
+                                    config.iterations + 1,
+                                    lambda losses: np.sqrt(losses[-1]) < config.tolerance)
     device.set_flat(x)
     residual = float(np.sqrt(best_loss))
-    return FitResult(residual=residual, converged=residual < tolerance,
-                     n_iterations=min(len(losses), iterations))
+    return FitResult(residual=residual, converged=residual < config.tolerance,
+                     n_iterations=len(losses) - 1)

@@ -20,8 +20,13 @@ ForwardOperator.tau_cogradients) into gradients with respect to that flat
 vector.
 """
 
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 from scipy.special import expit, logit
+
+from .geometry import _positive
 
 LAYER_KINDS = ("pc", "ac")
 
@@ -30,28 +35,54 @@ def _db_to_linear(db):
     return 10.0 ** (db / 20.0)
 
 
-class SimDevice:
-    """Trainable transmission state for a stack of `len(kinds)` layers of
-    `n_cells` atoms each."""
+# Config readers of the list-valued keys; a ValueError names the key.
 
-    def __init__(self, n_cells, kinds, *, pc_amplitude=0.9,
-                 ac_gain_bounds_db=(-22.0, 13.0), rng=None):
-        for k in kinds:
-            if k not in LAYER_KINDS:
-                raise ValueError(f"unknown layer kind {k!r}")
-        if rng is None:
-            rng = np.random.default_rng()
-        lo_db, hi_db = ac_gain_bounds_db
-        if hi_db <= lo_db:
-            raise ValueError("ac gain upper bound must exceed lower bound")
-        self.pc = np.array([k == "pc" for k in kinds], dtype=bool)
-        self.pc_amplitude = float(pc_amplitude)
+def _layer_kinds(value, where):
+    bad = [k for k in value if k not in LAYER_KINDS]
+    if bad:
+        raise ValueError(f"{where}: unknown layer kinds {bad}")
+    return tuple(value)
+
+
+def _number_pair(value, where):
+    if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
+        raise ValueError(f"{where}: expected a pair of numbers")
+    return tuple(float(v) for v in value)
+
+
+@dataclass(frozen=True)
+class DeviceConfig:
+    """A stack's layer kinds, in order, with the (lower, upper) gain of an ac
+    atom in dB and the amplitude of a pc atom; also the `device` section of
+    a config."""
+
+    layer_kinds: tuple = field(metadata={"read": _layer_kinds})
+    gain_bounds_db: tuple = field(default=(-22.0, 13.0), metadata={"read": _number_pair})
+    pc_amplitude: float = 0.9
+
+    def __post_init__(self):
+        object.__setattr__(self, "layer_kinds", _layer_kinds(self.layer_kinds, "layer_kinds"))
+        if not -math.inf < self.gain_bounds_db[0] < self.gain_bounds_db[1] < math.inf:
+            raise ValueError(f"gain_bounds_db must be finite and ascending, "
+                             f"got {self.gain_bounds_db}")
+        _positive(self, "pc_amplitude")
+
+
+class SimDevice:
+    """Trainable transmission state of the stack `config` (a DeviceConfig)
+    declares, `n_cells` atoms per layer."""
+
+    def __init__(self, n_cells, config, rng=None):
+        rng = np.random.default_rng(rng)
+        lo_db, hi_db = config.gain_bounds_db
+        self.pc = np.array([k == "pc" for k in config.layer_kinds], dtype=bool)
+        self.pc_amplitude = float(config.pc_amplitude)
         self.alpha_min = _db_to_linear(lo_db)
         self.alpha_max = _db_to_linear(hi_db)
         # geometric midpoint of the gain range (arithmetic in dB)
         alpha0 = _db_to_linear(0.5 * (lo_db + hi_db))
         u0 = logit((alpha0 - self.alpha_min) / (self.alpha_max - self.alpha_min))
-        shape = (len(kinds), int(n_cells))
+        shape = (len(self.pc), int(n_cells))
         self.params = np.full(shape, u0)
         self.frozen_phases = np.zeros(shape)
         # one draw per layer, in layer order: the phases of a pc layer, the

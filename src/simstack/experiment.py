@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import SNAPSHOT_DIR
 from .design import fit_sim_to_target, svd_target
+from .device import SimDevice
 from .linklevel import (constellation_for, ebn0_to_noise_variance,
                         generate_channel, link_snr, simulate_block)
 from .precoding import effective_channel, mmse_precoder
@@ -65,11 +66,8 @@ def run_trial(cfg, index, trial_seed):
     record = TrialRecord(index, snapshots={} if cfg.output.snapshots else None)
     g_fit = None
     if "model_based" in sim.methods:
-        device = cfg.build_device(np.random.default_rng(streams[2]))
-        fit = fit_sim_to_target(ws, device, svd_target(h, n),
-                                iterations=cfg.fitting.iterations,
-                                step_size=cfg.fitting.step_size,
-                                tolerance=cfg.fitting.tolerance)
+        device = SimDevice(geometry.n_cells, cfg.device, np.random.default_rng(streams[2]))
+        fit = fit_sim_to_target(ws, device, svd_target(h, n), cfg.fitting)
         record.fit_residual = fit.residual
         record.fit_converged = fit.converged
         g_fit = ForwardOperator(ws, device.taus()).matrix
@@ -89,7 +87,7 @@ def run_trial(cfg, index, trial_seed):
             links["model_based"] = (effective_channel(pre.matrix, g_fit, h), pre.beta)
         if "data_driven" in sim.methods:
             dd_rng = np.random.default_rng(streams[3 + 2 * i])
-            device = cfg.build_device(dd_rng)
+            device = SimDevice(geometry.n_cells, cfg.device, dd_rng)
             _, pre, _ = train(ws, device, h, cfg.training, constellation, sim.total_power,
                               snr=snr, seed=dd_rng)
             g_dd = ForwardOperator(ws, device.taus()).matrix

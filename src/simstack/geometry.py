@@ -29,8 +29,8 @@ C0 = 3.0e8
 def _positive(section, *keys):
     for key in keys:
         value = getattr(section, key)
-        if not value > 0:
-            raise ValueError(f"{key} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
 
 
 def _at_least(section, low, *keys):
@@ -41,7 +41,7 @@ def _at_least(section, low, *keys):
 
 
 def _int_pair(value, where):
-    """Config reader of `layer_cells`: a list of two positive integers."""
+    """Reader and check of `layer_cells`: a list of two positive integers."""
     if len(value) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
                                   and v > 0 for v in value):
         raise ValueError(f"{where}: expected a pair of positive integers")
@@ -86,9 +86,7 @@ class SimGeometry:
 
     def __post_init__(self):
         _at_least(self, 1, "n_antennas", "n_layers")
-        if len(self.layer_cells) != 2 or min(self.layer_cells) < 1:
-            raise ValueError(f"layer_cells must be two counts of at least 1, "
-                             f"got {self.layer_cells}")
+        object.__setattr__(self, "layer_cells", _int_pair(self.layer_cells, "layer_cells"))
         _positive(self, "carrier_frequency_hz", "antenna_spacing_wl",
                   "array_to_first_layer_wl", "inter_layer_spacing_wl", "cell_spacing_wl",
                   "antenna_area_wl2", "meta_atom_area_wl2")

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import SimDevice
-from .geometry import SimGeometry
+from .device import DeviceConfig, SimDevice
+from .geometry import SimGeometry, _at_least, _positive
 from .linklevel import complex_noise, generate_channel, make_constellation
 from .optim import OPTIMIZERS, make_optimizer, minimize
 from .precoding import (Precoder, TrainablePrecoder, effective_channel,
@@ -42,12 +42,9 @@ class TrainingConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.pilot_symbols < 1:
-            raise ValueError("pilot_symbols must be positive")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be at least 0, got {self.iterations}")
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        _at_least(self, 1, "pilot_symbols")
+        _at_least(self, 0, "iterations")
+        _positive(self, "step_size")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer {self.optimizer!r} is not one of {sorted(OPTIMIZERS)}")
 
@@ -182,7 +179,7 @@ def finite_difference_check(step=1e-4, seed=7, snr=10.0):
     geometry = SimGeometry(n_antennas=2, n_layers=3, layer_cells=(4, 4),
                            carrier_frequency_hz=3.0e8, array_to_first_layer_wl=0.5)
     ws = coupling_chain(geometry)
-    device = SimDevice(geometry.n_cells, ["ac", "pc", "pc"], rng=rng)
+    device = SimDevice(geometry.n_cells, DeviceConfig(("ac", "pc", "pc")), rng)
     k, n, s = 2, 2, 16
     total_power = float(k)
     h = generate_channel(16, k, rng)

@@ -217,7 +217,7 @@ def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config
     total_power = cfg.simulation.total_power
     snr = 10.0
     n_draws = 50
-    kinds = ("pc",) * cfg.geometry.n_layers          # every layer passive
+    passive = dataclasses.replace(cfg.device, layer_kinds=("pc",) * cfg.geometry.n_layers)
 
     diffs = []
     seeds = np.random.SeedSequence(4242).spawn(n_draws)
@@ -225,17 +225,12 @@ def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config
         rng = np.random.default_rng(seeds[t])
         h = generate_channel(geometry.n_cells, k, rng)
 
-        dev_mb = SimDevice(geometry.n_cells, kinds,
-                           pc_amplitude=cfg.device.pc_amplitude, rng=rng)
-        fit_sim_to_target(ws, dev_mb, svd_target(h, geometry.n_antennas),
-                          iterations=cfg.fitting.iterations,
-                          step_size=cfg.fitting.step_size,
-                          tolerance=cfg.fitting.tolerance)
+        dev_mb = SimDevice(geometry.n_cells, passive, rng)
+        fit_sim_to_target(ws, dev_mb, svd_target(h, geometry.n_antennas), cfg.fitting)
         g_mb = ForwardOperator(ws, dev_mb.taus()).matrix
         mse_mb = closed_form_mse(g_mb, h, snr)
 
-        dev_dd = SimDevice(geometry.n_cells, kinds,
-                           pc_amplitude=cfg.device.pc_amplitude, rng=rng)
+        dev_dd = SimDevice(geometry.n_cells, passive, rng)
         train(ws, dev_dd, h, cfg.training, qpsk, total_power, snr=snr, seed=rng)
         g_dd = ForwardOperator(ws, dev_dd.taus()).matrix
         mse_dd = closed_form_mse(g_dd, h, snr)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,11 @@ import yaml
 from simstack import cli
 from simstack.cli import bundled_config_path, main
 from simstack.config import (ConfigConstraintError, ConfigFileError,
-                             ConfigSchemaError, CurveSpec, DeviceSection,
-                             ExperimentConfig, FittingSection, OutputSection,
-                             SimulationSection, dump_config, load_config,
-                             parse_config)
+                             ConfigSchemaError, CurveSpec, ExperimentConfig,
+                             OutputSection, SimulationSection, dump_config,
+                             load_config, parse_config)
+from simstack.design import FitConfig
+from simstack.device import DeviceConfig, SimDevice
 from simstack.experiment import read_ber_csv
 from simstack.geometry import SimGeometry
 from simstack.training import TrainingConfig
@@ -50,7 +52,8 @@ class TestBundledConfig:
 
     def test_build_device(self, reference_config):
         import numpy as np
-        dev = reference_config.build_device(np.random.default_rng(0))
+        dev = SimDevice(reference_config.geometry.n_cells, reference_config.device,
+                        np.random.default_rng(0))
         assert dev.params.shape == (8, 144)
         assert dev.pc.tolist() == [False, False] + [True] * 6
 
@@ -181,6 +184,11 @@ class TestValidation:
         ("simulation", "bits_per_user", 0),
         ("simulation", "master_seed", -1),
         ("fitting", "iterations", -1),
+        ("fitting", "step_size", math.inf),
+        ("training", "step_size", math.inf),
+        ("device", "gain_bounds_db", [math.nan, 13.0]),
+        ("device", "gain_bounds_db", [-22.0, math.inf]),
+        ("device", "pc_amplitude", math.inf),
         ("output", "manifest", ""),
         ("output", "manifest", "."),
         ("output", "manifest", ".."),
@@ -221,9 +229,9 @@ class TestSchema:
         cfg = parse_config(raw)
         assert cfg.geometry == SimGeometry(n_antennas=2, n_layers=2, layer_cells=(4, 4),
                                            carrier_frequency_hz=3.0e8)
-        assert cfg.device == DeviceSection(layer_kinds=("ac", "pc"))
+        assert cfg.device == DeviceConfig(layer_kinds=("ac", "pc"))
         assert cfg.training == TrainingConfig()
-        assert cfg.fitting == FittingSection()
+        assert cfg.fitting == FitConfig()
         assert cfg.simulation == SimulationSection(
             n_users=2, curves=(CurveSpec("qpsk", (4.0,)),))
         assert cfg.output == OutputSection()
@@ -333,6 +341,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "--seed" in err and "-1" in err
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "inf", "nan"])
+    def test_gradcheck_rejects_bad_step(self, monkeypatch, capsys, step):
+        monkeypatch.setattr(cli, "finite_difference_check", None)   # must not run
+        assert main(["gradcheck", "--step", step]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--step" in err
 
     def test_run_tiny_config(self, tmp_path, tiny_config_text, capsys):
         cfg_path = tmp_path / "tiny.yaml"

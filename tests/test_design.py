@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from simstack.design import (DegenerateChannelError, FitResult,
+from simstack.design import (DegenerateChannelError, FitConfig, FitResult,
                              fit_sim_to_target, svd_target)
-from simstack.device import SimDevice
+from simstack.device import DeviceConfig, SimDevice
 from simstack.geometry import SimGeometry
 from simstack.propagation import ForwardOperator, coupling_chain
 
@@ -61,12 +61,12 @@ class TestSvdTarget:
 class TestFit:
     def test_single_layer_recovers_expressible_target(self):
         geom = _geometry(1)
-        teacher = SimDevice(16, ("pc",), rng=np.random.default_rng(11))
+        teacher = SimDevice(16, DeviceConfig(("pc",)), rng=np.random.default_rng(11))
         target = _forward(geom, teacher)
-        student = SimDevice(16, ("pc",), rng=np.random.default_rng(22))
+        student = SimDevice(16, DeviceConfig(("pc",)), rng=np.random.default_rng(22))
         result = fit_sim_to_target(coupling_chain(geom), student, target,
-                                   iterations=4000, step_size=0.05,
-                                   tolerance=1e-3)
+                                   FitConfig(iterations=4000, step_size=0.05,
+                                             tolerance=1e-3))
         assert result.converged
         assert result.residual < 1e-3
         achieved = np.linalg.norm(_forward(geom, student) - target) \
@@ -75,13 +75,14 @@ class TestFit:
 
     def test_deep_stack_improves_over_start(self, rng):
         geom = _geometry(3)
-        device = SimDevice(16, ("pc", "pc", "pc"), rng=np.random.default_rng(5))
+        device = SimDevice(16, DeviceConfig(("pc", "pc", "pc")),
+                           rng=np.random.default_rng(5))
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
         target = svd_target(h, 2)
         start = np.linalg.norm(_forward(geom, device) - target) \
             / np.linalg.norm(target)
         result = fit_sim_to_target(coupling_chain(geom), device, target,
-                                   iterations=300, step_size=0.05)
+                                   FitConfig(iterations=300, step_size=0.05))
         assert result.residual < start
         assert result.n_iterations == 300
 
@@ -89,35 +90,52 @@ class TestFit:
         # huge step size makes the trajectory bounce; device must still end
         # at the best visited point
         geom = _geometry(2)
-        device = SimDevice(16, ("pc", "pc"), rng=np.random.default_rng(8))
+        device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
         target = svd_target(h, 2)
         result = fit_sim_to_target(coupling_chain(geom), device, target,
-                                   iterations=50, step_size=5.0)
+                                   FitConfig(iterations=50, step_size=5.0))
         achieved = np.linalg.norm(_forward(geom, device) - target) \
             / np.linalg.norm(target)
         assert np.isclose(achieved, result.residual, atol=1e-12)
 
     def test_zero_iterations_reports_initial_state(self, rng):
         geom = _geometry(2)
-        device = SimDevice(16, ("pc", "pc"), rng=np.random.default_rng(8))
+        device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
         x0 = device.flat().copy()
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
         target = svd_target(h, 2)
-        result = fit_sim_to_target(coupling_chain(geom), device, target, iterations=0)
+        result = fit_sim_to_target(coupling_chain(geom), device, target,
+                                   FitConfig(iterations=0))
         assert result.n_iterations == 0
         assert np.array_equal(device.flat(), x0)
         start = np.linalg.norm(_forward(geom, device) - target) \
             / np.linalg.norm(target)
         assert np.isclose(result.residual, start, atol=1e-12)
 
+    def test_reached_target_takes_no_step(self):
+        # the device's own response is met at the first evaluation
+        geom = _geometry(2)
+        device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
+        x0 = device.flat().copy()
+        result = fit_sim_to_target(coupling_chain(geom), device, _forward(geom, device))
+        assert result.converged and result.residual == 0.0
+        assert result.n_iterations == 0
+        assert np.array_equal(device.flat(), x0)
+
+    @pytest.mark.parametrize("key, value", [("iterations", -2), ("step_size", 0.0),
+                                            ("step_size", np.inf), ("tolerance", -1e-3)])
+    def test_config_rejects(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            FitConfig(**{key: value})
+
     def test_zero_target_drives_amplitudes_to_floor(self):
         geom = _geometry(1)
-        device = SimDevice(16, ("ac",), rng=np.random.default_rng(2))
+        device = SimDevice(16, DeviceConfig(("ac",)), rng=np.random.default_rng(2))
         start = np.abs(device.taus()[0])
         result = fit_sim_to_target(coupling_chain(geom), device,
                                    np.zeros((2, 16), dtype=complex),
-                                   iterations=600, step_size=0.05)
+                                   FitConfig(iterations=600, step_size=0.05))
         assert isinstance(result, FitResult)
         floor = device.alpha_min
         amps = np.abs(device.taus()[0])

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logit
 
-from simstack.device import SimDevice
+from simstack.device import DeviceConfig, SimDevice
 
 MIXED_STACKS = [("pc", "ac", "pc"), ("ac", "ac", "pc", "ac", "pc"), ("pc",), ("ac",)]
 
 
 def _device(rng=None, kinds=("pc", "ac", "pc")):
-    return SimDevice(4, kinds, rng=rng or np.random.default_rng(3))
+    return SimDevice(4, DeviceConfig(kinds), rng=rng or np.random.default_rng(3))
 
 
 # Layer-by-layer oracle: the device as a list of per-layer vectors, one
@@ -67,13 +67,27 @@ def _phases(dev):
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        SimDevice(4, ["nope"])
+        SimDevice(4, DeviceConfig(["nope"]))
     with pytest.raises(ValueError):
-        SimDevice(4, ["ac"], ac_gain_bounds_db=(5.0, -5.0))
+        SimDevice(4, DeviceConfig(["ac"], gain_bounds_db=(5.0, -5.0)))
+
+
+# values SimDevice took before it read the config's own checks
+@pytest.mark.parametrize("key, value", [
+    ("pc_amplitude", -1.0), ("pc_amplitude", np.inf), ("gain_bounds_db", (np.nan, 13.0)),
+    ("gain_bounds_db", (-22.0, np.inf)), ("gain_bounds_db", (-np.inf, 13.0)),
+])
+def test_device_config_rejects(key, value):
+    with pytest.raises(ValueError, match=key):
+        DeviceConfig(["pc"], **{key: value})
+
+
+def test_device_config_takes_a_list_of_kinds():
+    assert DeviceConfig(["ac", "pc"]) == DeviceConfig(("ac", "pc"))
 
 
 def test_from_geometry_sizes(small_geometry):
-    dev = SimDevice(small_geometry.n_cells, ("ac", "pc", "pc"),
+    dev = SimDevice(small_geometry.n_cells, DeviceConfig(("ac", "pc", "pc")),
                     rng=np.random.default_rng(0))
     assert dev.params.shape == dev.frozen_phases.shape == (3, 16)
     assert dev.pc.tolist() == [False, True, True]
@@ -83,7 +97,7 @@ def test_from_geometry_sizes(small_geometry):
 
 @pytest.mark.parametrize("kinds", MIXED_STACKS)
 def test_seeded_device_matches_layerwise_draws(kinds):
-    dev = SimDevice(6, kinds, rng=np.random.default_rng(17))
+    dev = SimDevice(6, DeviceConfig(kinds), rng=np.random.default_rng(17))
     params, frozen = _layerwise_init(6, kinds, np.random.default_rng(17))
     assert np.array_equal(dev.params, np.array(params))
     for ell, phi in enumerate(frozen):
@@ -92,7 +106,7 @@ def test_seeded_device_matches_layerwise_draws(kinds):
 
 @pytest.mark.parametrize("kinds", MIXED_STACKS)
 def test_taus_and_param_grad_match_layerwise_oracle(kinds, rng):
-    dev = SimDevice(5, kinds, rng=rng)
+    dev = SimDevice(5, DeviceConfig(kinds), rng=rng)
     shape = (len(kinds), 5)
     for scale in (1.0, 40.0):
         dev.set_flat(scale * rng.normal(size=dev.n_params))
@@ -110,7 +124,7 @@ def test_pc_amplitude_fixed():
 
 
 def test_ac_initialized_at_midpoint_gain():
-    dev = SimDevice(8, ["ac"], ac_gain_bounds_db=(-22.0, 13.0),
+    dev = SimDevice(8, DeviceConfig(["ac"], gain_bounds_db=(-22.0, 13.0)),
                     rng=np.random.default_rng(1))
     want = 10.0 ** ((-22.0 + 13.0) / 2.0 / 20.0)
     assert np.allclose(np.abs(dev.taus()[0]), want, rtol=1e-12)

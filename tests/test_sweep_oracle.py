@@ -15,7 +15,7 @@ import pytest
 from oracles import RowForwardOperator, row_evaluate
 
 from simstack import design, training
-from simstack.device import SimDevice
+from simstack.device import DeviceConfig, SimDevice
 from simstack.linklevel import generate_channel, make_constellation
 from simstack.precoding import TrainablePrecoder
 from simstack.propagation import ForwardOperator, coupling_chain
@@ -81,13 +81,13 @@ def test_fit_bit_identical(geometry, monkeypatch, iterations, tolerance):
     q = geometry.n_cells
     h = generate_channel(q, geometry.n_antennas, np.random.default_rng(3))
     target = design.svd_target(h, geometry.n_antennas)
-    base = SimDevice(q, _kinds(geometry), rng=np.random.default_rng(4))
+    base = SimDevice(q, DeviceConfig(_kinds(geometry)), rng=np.random.default_rng(4))
     out = []
     for engine in (ForwardOperator, RowForwardOperator):
         monkeypatch.setattr(design, "ForwardOperator", engine)
         device = copy.deepcopy(base)
-        fit = design.fit_sim_to_target(ws, device, target, iterations=iterations,
-                                       step_size=0.05, tolerance=tolerance)
+        fit = design.fit_sim_to_target(ws, device, target,
+                                       design.FitConfig(iterations, 0.05, tolerance))
         out.append((fit, device.flat()))
     assert out[0][0] == out[1][0]
     assert np.array_equal(out[0][1], out[1][1])
@@ -97,7 +97,7 @@ def test_fit_bit_identical(geometry, monkeypatch, iterations, tolerance):
 
 def _evaluation_case(geometry, k, rng):
     q, n = geometry.n_cells, geometry.n_antennas
-    device = SimDevice(q, _kinds(geometry), rng=rng)
+    device = SimDevice(q, DeviceConfig(_kinds(geometry)), rng=rng)
     tp = TrainablePrecoder(float(k), rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
     h = generate_channel(q, k, rng)
     b = QPSK.points[rng.integers(0, 4, (40, k))]
@@ -120,7 +120,7 @@ def test_training_trajectory_within_tolerance(small_geometry, monkeypatch):
     ws = coupling_chain(small_geometry)
     h = generate_channel(16, 2, np.random.default_rng(777))
     config = training.TrainingConfig(pilot_symbols=32, iterations=200, step_size=0.02)
-    base = SimDevice(16, ("ac", "pc", "pc"), rng=np.random.default_rng(4))
+    base = SimDevice(16, DeviceConfig(("ac", "pc", "pc")), rng=np.random.default_rng(4))
     out = []
     for evaluate in (training._evaluate, row_evaluate):
         monkeypatch.setattr(training, "_evaluate", evaluate)
