@@ -106,15 +106,13 @@ def main(argv=None):
                     "metasurface: BER experiments, synthesis, training.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_trials=True):
+    def add_common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="parallel trial workers (default: all cores)")
         p.add_argument("--out-dir", default=None, help="result directory")
-        if with_trials:
-            p.add_argument("--trials", type=int, default=None,
-                           help="override the trial count")
+        p.add_argument("--trials", type=int, default=None, help="override the trial count")
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")

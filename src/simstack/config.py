@@ -227,12 +227,18 @@ def _check_constraints(cfg):
     if o.manifest in taken:
         raise ConfigConstraintError(f"output.manifest = {o.manifest!r} names another "
                                     f"output of the result directory")
+    seen = set()     # a trial counts each (modulation, Eb/N0) point once
     for i, curve in enumerate(s.curves):
         bps = int(math.log2(MODULATIONS[curve.modulation]))
         if s.bits_per_user % bps:
             raise ConfigConstraintError(
                 f"simulation.bits_per_user = {s.bits_per_user} does not pack into "
                 f"{bps}-bit symbols of simulation.curves[{i}] ({curve.modulation})")
+        for ebn0 in curve.ebn0_db:
+            if not math.isfinite(ebn0) or (curve.modulation, ebn0) in seen:
+                raise ConfigConstraintError(f"simulation.curves[{i}].ebn0_db: {ebn0} is not "
+                                            f"finite or repeats a {curve.modulation} point")
+            seen.add((curve.modulation, ebn0))
 
 
 def parse_config(raw):

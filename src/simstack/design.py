@@ -59,15 +59,16 @@ class FitResult:
     residual: float        # ||G - T||_F / ||T||_F at the returned iterate
     converged: bool
     n_iterations: int      # Adam steps taken
+    params: np.ndarray     # the returned iterate, flat as SimDevice.params.ravel()
 
 
 def fit_sim_to_target(ws, device, target, config=FitConfig()):
-    """Fit the device's transmission parameters so the stack response
-    through the coupling chain `ws` approaches `target` (N x Q) in
-    relative Frobenius error, as `config` (a FitConfig) bounds it.
+    """Fit the device's transmission parameters, from its initial draw, so
+    the stack response through the coupling chain `ws` approaches `target`
+    (N x Q) in relative Frobenius error, as `config` (a FitConfig) bounds it.
 
-    Mutates `device` to the best iterate found and returns a FitResult;
-    converged=False flags a residual still at or above the tolerance.
+    Returns a FitResult at the best iterate found; converged=False flags a
+    residual still at or above the tolerance. `device` is not changed.
     A zero target degenerates the relative error, so the raw power
     ||G||_F^2 is minimized instead (amplitudes drive toward their floor).
     """
@@ -77,17 +78,15 @@ def fit_sim_to_target(ws, device, target, config=FitConfig()):
         tnorm2 = 1.0
 
     def loss_and_grad(x):
-        device.set_flat(x)
-        fwd = ForwardOperator(ws, device.taus())
+        fwd = ForwardOperator(ws, device.taus(x))
         err = fwd.matrix - target
         loss = float(np.linalg.norm(err) ** 2) / tnorm2
-        return loss, device.param_grad(fwd.tau_cogradients(err / tnorm2))
+        return loss, device.param_grad(x, fwd.tau_cogradients(err / tnorm2))
 
     # `iterations` steps lie between iterations + 1 evaluations
-    x, best_loss, losses = minimize(loss_and_grad, device.flat(), Adam(config.step_size),
-                                    config.iterations + 1,
+    x, best_loss, losses = minimize(loss_and_grad, device.params.ravel(),
+                                    Adam(config.step_size), config.iterations + 1,
                                     lambda losses: np.sqrt(losses[-1]) < config.tolerance)
-    device.set_flat(x)
     residual = float(np.sqrt(best_loss))
     return FitResult(residual=residual, converged=residual < config.tolerance,
-                     n_iterations=len(losses) - 1)
+                     n_iterations=len(losses) - 1, params=x)

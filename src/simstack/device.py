@@ -11,13 +11,14 @@ Two layer kinds:
             alpha = alpha_min + (alpha_max - alpha_min) * sigmoid(u)
         with u trainable and unbounded.
 
-The state is one (L, Q) array of trainable parameters (theta on pc rows,
-u on ac rows), one (L, Q) array of frozen phases (zero on pc rows) and a
-boolean row mask `pc`. The device exposes the parameters as one flat real
-vector, row by row, so that any first-order optimizer can drive it, and
-converts the (L, Q) cogradients with respect to tau (see
-ForwardOperator.tau_cogradients) into gradients with respect to that flat
-vector.
+The device holds one (L, Q) array of frozen phases (zero on pc rows), a
+boolean row mask `pc` and the initial draw of the trainable parameters
+(theta on pc rows, u on ac rows), but no trainable state: `taus(x)` maps a
+flat real parameter vector x, row by row as `params.ravel()`, to the
+transmission state, and `param_grad(x, ...)` converts the (L, Q)
+cogradients with respect to tau (see ForwardOperator.tau_cogradients) into
+the gradient with respect to x. The optimizer's x is the only copy of the
+trainable state.
 """
 
 import math
@@ -69,8 +70,8 @@ class DeviceConfig:
 
 
 class SimDevice:
-    """Trainable transmission state of the stack `config` (a DeviceConfig)
-    declares, `n_cells` atoms per layer."""
+    """Transmission map of the stack `config` (a DeviceConfig) declares,
+    `n_cells` atoms per layer; `params` is the read-only initial draw."""
 
     def __init__(self, n_cells, config, rng=None):
         rng = np.random.default_rng(rng)
@@ -90,39 +91,30 @@ class SimDevice:
         for ell, pc in enumerate(self.pc):
             (self.params if pc else self.frozen_phases)[ell] = \
                 rng.uniform(0.0, 2.0 * np.pi, shape[1])
+        self.params.flags.writeable = False
         self._frozen_phasors = np.exp(1j * self.frozen_phases[~self.pc])
 
-    @property
-    def n_params(self):
-        return self.params.size
-
-    def taus(self):
-        """The (L, Q) complex transmission state."""
+    def taus(self, x):
+        """The (L, Q) complex transmission state at the flat parameters x;
+        a wrong-size x raises ValueError."""
+        u = np.reshape(x, self.params.shape)
         pc, ac = self.pc, ~self.pc
-        taus = np.empty(self.params.shape, complex)
-        taus[pc] = self.pc_amplitude * np.exp(1j * self.params[pc])
+        taus = np.empty(u.shape, complex)
+        taus[pc] = self.pc_amplitude * np.exp(1j * u[pc])
         taus[ac] = (self.alpha_min + (self.alpha_max - self.alpha_min)
-                    * expit(self.params[ac])) * self._frozen_phasors
+                    * expit(u[ac])) * self._frozen_phasors
         return taus
 
-    def flat(self):
-        return self.params.flatten()
-
-    def set_flat(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {x.shape}")
-        self.params = x.reshape(self.params.shape).copy()
-
-    def param_grad(self, tau_cograds):
-        """Real gradient of the loss with respect to flat(), from the (L, Q)
-        tau cogradients (convention dL = 2 Re sum conj(gbar)*dtau).
+    def param_grad(self, x, tau_cograds):
+        """Real gradient of the loss with respect to x, from the (L, Q) tau
+        cogradients at x (convention dL = 2 Re sum conj(gbar)*dtau).
         """
+        u = np.reshape(x, self.params.shape)
         pc, ac = self.pc, ~self.pc
         gbar = np.conj(tau_cograds)
-        s = expit(self.params[ac])
+        s = expit(u[ac])
         dalpha_du = (self.alpha_max - self.alpha_min) * s * (1.0 - s)
-        grad = np.empty(self.params.shape)
-        grad[pc] = -2.0 * np.imag(gbar[pc] * self.taus()[pc])
+        grad = np.empty(u.shape)
+        grad[pc] = -2.0 * np.imag(gbar[pc] * self.taus(x)[pc])
         grad[ac] = 2.0 * np.real(gbar[ac] * self._frozen_phasors) * dalpha_du
         return grad.ravel()

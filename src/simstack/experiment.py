@@ -70,9 +70,9 @@ def run_trial(cfg, index, trial_seed):
         fit = fit_sim_to_target(ws, device, svd_target(h, n), cfg.fitting)
         record.fit_residual = fit.residual
         record.fit_converged = fit.converged
-        g_fit = ForwardOperator(ws, device.taus()).matrix
+        g_fit = ForwardOperator(ws, device.taus(fit.params)).matrix
         if record.snapshots is not None:
-            record.snapshots["model_based"] = device.flat()
+            record.snapshots["model_based"] = fit.params
 
     for i, (modulation, ebn0) in enumerate(points):
         constellation = constellation_for(modulation)
@@ -88,12 +88,12 @@ def run_trial(cfg, index, trial_seed):
         if "data_driven" in sim.methods:
             dd_rng = np.random.default_rng(streams[3 + 2 * i])
             device = SimDevice(geometry.n_cells, cfg.device, dd_rng)
-            _, pre, _ = train(ws, device, h, cfg.training, constellation, sim.total_power,
-                              snr=snr, seed=dd_rng)
-            g_dd = ForwardOperator(ws, device.taus()).matrix
+            trained, pre, _ = train(ws, device, h, cfg.training, constellation,
+                                    sim.total_power, snr=snr, seed=dd_rng)
+            g_dd = ForwardOperator(ws, device.taus(trained)).matrix
             links["data_driven"] = (effective_channel(pre.matrix, g_dd, h), pre.beta)
             if record.snapshots is not None:
-                record.snapshots[f"data_driven|{modulation}|{ebn0}"] = device.flat()
+                record.snapshots[f"data_driven|{modulation}|{ebn0}"] = trained
 
         noise_rng = np.random.default_rng(streams[4 + 2 * i])
         for method in sim.methods:

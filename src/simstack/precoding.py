@@ -66,11 +66,12 @@ def optimal_receiver_scale(f, noise_var):
 
 
 class TrainablePrecoder:
-    """Precoder P = sqrt(P_S) * Ptilde / ||Ptilde||_F with an unconstrained
+    """Precoder P = sqrt(P_S) * Ptilde / ||Ptilde||_F of an unconstrained
     complex backing matrix Ptilde; the power constraint holds at every
     optimizer step by construction.
 
-    Exposed to optimizers as a flat real vector [Re(Ptilde); Im(Ptilde)].
+    Ptilde is read from a flat real vector x = [Re(Ptilde); Im(Ptilde)];
+    `x0` is the vector of the initial matrix `init`.
     """
 
     def __init__(self, total_power, init):
@@ -78,28 +79,23 @@ class TrainablePrecoder:
         if np.linalg.norm(init) == 0:
             raise ValueError("initial precoder must be nonzero")
         self.total_power = float(total_power)
-        self.backing = init.copy()
+        self.shape = init.shape
+        self.x0 = np.concatenate([init.real.ravel(), init.imag.ravel()])
 
-    @property
-    def n_params(self):
-        return 2 * self.backing.size
+    def _backing(self, x):
+        half = len(x) // 2          # a wrong size raises ValueError
+        return (x[:half] + 1j * x[half:]).reshape(self.shape)
 
-    def matrix(self):
-        return np.sqrt(self.total_power) * self.backing / np.linalg.norm(self.backing)
+    def matrix(self, x):
+        backing = self._backing(x)
+        return np.sqrt(self.total_power) * backing / np.linalg.norm(backing)
 
-    def flat(self):
-        return np.concatenate([self.backing.real.ravel(), self.backing.imag.ravel()])
-
-    def set_flat(self, x):
-        x = np.asarray(x, dtype=float)
-        half = self.backing.size
-        self.backing = (x[:half] + 1j * x[half:]).reshape(self.backing.shape)
-
-    def param_grad(self, cograd_p):
-        """Real gradient w.r.t. flat() from the cogradient w.r.t. P
+    def param_grad(self, x, cograd_p):
+        """Real gradient w.r.t. x from the cogradient w.r.t. P at x
         (convention dL = 2 Re tr(cog^H dP)): project out the radial
         component the normalization discards, then split Re/Im."""
-        r = np.linalg.norm(self.backing)
-        radial = np.real(np.vdot(self.backing, cograd_p)) / r ** 2
-        g = (np.sqrt(self.total_power) / r) * (cograd_p - radial * self.backing)
+        backing = self._backing(x)
+        r = np.linalg.norm(backing)
+        radial = np.real(np.vdot(backing, cograd_p)) / r ** 2
+        g = (np.sqrt(self.total_power) / r) * (cograd_p - radial * backing)
         return np.concatenate([2.0 * g.real.ravel(), 2.0 * g.imag.ravel()])

@@ -52,7 +52,6 @@ class TrainingConfig:
 @dataclass
 class LossReport:
     losses: list = field(default_factory=list)
-    beta: float = 0.0
     radiated_power: float = 0.0
     restarted: bool = False
 
@@ -87,25 +86,24 @@ def _loss_and_cograds(b, p, gh, noise):
 
 
 def _evaluate(x, ws, device, tp, b, h, noise):
-    """Set the device and precoder to x = [device.flat(), tp.flat()] and
-    return (loss, beta, gradient with respect to x): one two-sided sweep,
-    the loss and the layer cogradients read off it."""
-    n = device.n_params
-    device.set_flat(x[:n])
-    tp.set_flat(x[n:])
-    fwd = ForwardOperator(ws, device.taus(), h)
-    loss, beta, cog_p, u = _loss_and_cograds(b, tp.matrix(), fwd.gh, noise)
-    return loss, beta, np.concatenate([device.param_grad(fwd.h_cogradients(u)),
-                                       tp.param_grad(cog_p)])
+    """(loss, beta, gradient with respect to x) at x = [device parameters;
+    precoder parameters]: one two-sided sweep, the loss and the layer
+    cogradients read off it."""
+    n = device.params.size
+    x_dev, x_pre = x[:n], x[n:]
+    fwd = ForwardOperator(ws, device.taus(x_dev), h)
+    loss, beta, cog_p, u = _loss_and_cograds(b, tp.matrix(x_pre), fwd.gh, noise)
+    return loss, beta, np.concatenate([device.param_grad(x_dev, fwd.h_cogradients(u)),
+                                       tp.param_grad(x_pre, cog_p)])
 
 
 def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
-    """Train the device and a power-constrained precoder against one
-    channel realization at link SNR `snr`, through the coupling chain `ws`.
-    The pilot block and the noise come from np.random.default_rng(seed).
-    Returns
-    (device, Precoder, LossReport); `device` is mutated to (and returned
-    at) the best-loss iterate.
+    """Train the device's parameters, from its initial draw, and a
+    power-constrained precoder against one channel realization at link SNR
+    `snr`, through the coupling chain `ws`. The pilot block and the noise
+    come from np.random.default_rng(seed). Returns (params, Precoder,
+    LossReport) at the best-loss iterate, `params` flat as
+    `device.params.ravel()`; `device` is not changed.
 
     Divergence (loss above 10x the initial loss) triggers one restart from
     the initial state at half the step size; a second divergence raises
@@ -123,10 +121,10 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     b = constellation.points[rng.integers(0, constellation.order, (s, k))]
     sigma2 = total_power / (k * snr)
 
-    g0 = ForwardOperator(ws, device.taus()).matrix
+    g0 = ForwardOperator(ws, device.taus(device.params.ravel())).matrix
     tp = TrainablePrecoder(total_power, mmse_precoder(g0, h, snr, total_power).matrix)
-    n = device.n_params
-    x0 = np.concatenate([device.flat(), tp.flat()])
+    n = device.params.size
+    x0 = np.concatenate([device.params.ravel(), tp.x0])
     start = rng.bit_generator.state      # restarts replay the same noise
 
     def loss_and_grad(x):
@@ -151,17 +149,14 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
         raise TrainingDivergenceError(
             f"training diverged at step sizes {config.step_size} and {step_size}")
 
-    device.set_flat(x[:n])
-    tp.set_flat(x[n:])
-    g = ForwardOperator(ws, device.taus()).matrix
-    p = tp.matrix()
-    f = effective_channel(p, g, h)
-    if optimal_receiver_scale(f, sigma2) < 0:
-        p, f = -p, -f
+    g = ForwardOperator(ws, device.taus(x[:n])).matrix
+    p = tp.matrix(x[n:])
+    beta = optimal_receiver_scale(effective_channel(p, g, h), sigma2)
+    if beta < 0:          # -P negates Re tr F and keeps ||F||
+        p, beta = -p, -beta
     report.losses = losses
-    report.beta = optimal_receiver_scale(f, sigma2)
     report.radiated_power = radiated_power(p, g)
-    return device, Precoder(p, total_power, report.beta), report
+    return x[:n], Precoder(p, total_power, beta), report
 
 
 def finite_difference_check(step=1e-4, seed=7, snr=10.0):
@@ -188,15 +183,13 @@ def finite_difference_check(step=1e-4, seed=7, snr=10.0):
     tp = TrainablePrecoder(total_power,
                            rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
 
-    x0 = np.concatenate([device.flat(), tp.flat()])
+    x0 = np.concatenate([device.params.ravel(), tp.x0])
     loss0, beta, grad = _evaluate(x0, ws, device, tp, b, h, noise)
-    n_dev = device.n_params
+    n_dev = device.params.size
 
     def loss_at(x):
-        device.set_flat(x[:n_dev])
-        tp.set_flat(x[n_dev:])
-        g = ForwardOperator(ws, device.taus()).matrix
-        return empirical_mse(tp.matrix(), g, h, b, noise)[0]
+        g = ForwardOperator(ws, device.taus(x[:n_dev])).matrix
+        return empirical_mse(tp.matrix(x[n_dev:]), g, h, b, noise)[0]
 
     def rel_error(i):
         dx = np.zeros_like(x0)

@@ -131,10 +131,8 @@ def row_loss_and_cograds(b, p, g, h, noise):
 
 def row_evaluate(x, ws, device, tp, b, h, noise):
     """training._evaluate through the row engine and the S x Q cogradients."""
-    n = device.n_params
-    device.set_flat(x[:n])
-    tp.set_flat(x[n:])
-    fwd = RowForwardOperator(ws, device.taus())
-    loss, beta, cog_p, cog_g = row_loss_and_cograds(b, tp.matrix(), fwd.matrix, h, noise)
-    return loss, beta, np.concatenate([device.param_grad(fwd.tau_cogradients(cog_g)),
-                                       tp.param_grad(cog_p)])
+    n = device.params.size
+    fwd = RowForwardOperator(ws, device.taus(x[:n]))
+    loss, beta, cog_p, cog_g = row_loss_and_cograds(b, tp.matrix(x[n:]), fwd.matrix, h, noise)
+    return loss, beta, np.concatenate([device.param_grad(x[:n], fwd.tau_cogradients(cog_g)),
+                                       tp.param_grad(x[n:], cog_p)])

@@ -118,13 +118,13 @@ def train_outputs():
     rng = np.random.default_rng(TRAIN_SEED)
     h = generate_channel(geometry.n_cells, cfg.simulation.n_users, rng)
     device = SimDevice(geometry.n_cells, cfg.device, rng)
-    _, _, report = train(coupling_chain(geometry), device, h, cfg.training,
-                         make_constellation(4), cfg.simulation.total_power,
-                         snr=TRAIN_SNR, seed=rng)
+    _, pre, report = train(coupling_chain(geometry), device, h, cfg.training,
+                           make_constellation(4), cfg.simulation.total_power,
+                           snr=TRAIN_SNR, seed=rng)
     losses = report.losses
     return {"reference1/train.json": _json({
         "first_loss": losses[0], "best_loss": min(losses), "last_loss": losses[-1],
-        "beta": report.beta})}
+        "beta": pre.beta})}
 
 
 @one_blas_thread()

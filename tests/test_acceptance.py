@@ -226,13 +226,13 @@ def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config
         h = generate_channel(geometry.n_cells, k, rng)
 
         dev_mb = SimDevice(geometry.n_cells, passive, rng)
-        fit_sim_to_target(ws, dev_mb, svd_target(h, geometry.n_antennas), cfg.fitting)
-        g_mb = ForwardOperator(ws, dev_mb.taus()).matrix
+        fit = fit_sim_to_target(ws, dev_mb, svd_target(h, geometry.n_antennas), cfg.fitting)
+        g_mb = ForwardOperator(ws, dev_mb.taus(fit.params)).matrix
         mse_mb = closed_form_mse(g_mb, h, snr)
 
         dev_dd = SimDevice(geometry.n_cells, passive, rng)
-        train(ws, dev_dd, h, cfg.training, qpsk, total_power, snr=snr, seed=rng)
-        g_dd = ForwardOperator(ws, dev_dd.taus()).matrix
+        x, _, _ = train(ws, dev_dd, h, cfg.training, qpsk, total_power, snr=snr, seed=rng)
+        g_dd = ForwardOperator(ws, dev_dd.taus(x)).matrix
         mse_dd = closed_form_mse(g_dd, h, snr)
         diffs.append(mse_dd - mse_mb)
 

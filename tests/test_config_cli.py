@@ -195,6 +195,8 @@ class TestValidation:
         ("output", "manifest", "results/manifest.json"),
         ("output", "manifest", "..\\manifest.json"),
         ("output", "csv_prefix", "results/ber"),
+        ("simulation", "curves", [{"modulation": "qpsk", "ebn0_db": [math.nan, 2.0]}]),
+        ("simulation", "curves", [{"modulation": "qpsk", "ebn0_db": [math.inf]}]),
     ])
     def test_out_of_range_value(self, tiny_raw, section, key, value):
         tiny_raw.setdefault(section, {})[key] = value
@@ -210,6 +212,18 @@ class TestValidation:
     def test_manifest_collides_with_another_output(self, tiny_raw, output):
         tiny_raw["output"] = output
         with pytest.raises(ConfigConstraintError, match="output.manifest"):
+            parse_config(tiny_raw)
+
+    # a repeated point would overwrite another's error counts in each trial
+    @pytest.mark.parametrize("grids, index", [
+        ([[4.0, 4.0], [4.0]], 0),
+        ([[4.0], [2.0, 4]], 1),
+    ])
+    def test_repeated_operating_point(self, tiny_raw, grids, index):
+        tiny_raw["simulation"]["curves"] = [{"modulation": "qpsk", "ebn0_db": grid}
+                                            for grid in grids]
+        with pytest.raises(ConfigConstraintError,
+                           match=rf"simulation\.curves\[{index}\]\.ebn0_db"):
             parse_config(tiny_raw)
 
     def test_manifest_may_take_a_free_output_name(self, tiny_raw):

@@ -13,8 +13,8 @@ def _geometry(n_layers):
                        carrier_frequency_hz=3.0e8, array_to_first_layer_wl=0.5)
 
 
-def _forward(geometry, device):
-    return ForwardOperator(coupling_chain(geometry), device.taus()).matrix
+def _forward(geometry, device, x):
+    return ForwardOperator(coupling_chain(geometry), device.taus(x)).matrix
 
 
 class TestSvdTarget:
@@ -62,14 +62,14 @@ class TestFit:
     def test_single_layer_recovers_expressible_target(self):
         geom = _geometry(1)
         teacher = SimDevice(16, DeviceConfig(("pc",)), rng=np.random.default_rng(11))
-        target = _forward(geom, teacher)
+        target = _forward(geom, teacher, teacher.params.ravel())
         student = SimDevice(16, DeviceConfig(("pc",)), rng=np.random.default_rng(22))
         result = fit_sim_to_target(coupling_chain(geom), student, target,
                                    FitConfig(iterations=4000, step_size=0.05,
                                              tolerance=1e-3))
         assert result.converged
         assert result.residual < 1e-3
-        achieved = np.linalg.norm(_forward(geom, student) - target) \
+        achieved = np.linalg.norm(_forward(geom, student, result.params) - target) \
             / np.linalg.norm(target)
         assert np.isclose(achieved, result.residual, atol=1e-12)
 
@@ -79,7 +79,7 @@ class TestFit:
                            rng=np.random.default_rng(5))
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
         target = svd_target(h, 2)
-        start = np.linalg.norm(_forward(geom, device) - target) \
+        start = np.linalg.norm(_forward(geom, device, device.params.ravel()) - target) \
             / np.linalg.norm(target)
         result = fit_sim_to_target(coupling_chain(geom), device, target,
                                    FitConfig(iterations=300, step_size=0.05))
@@ -87,29 +87,28 @@ class TestFit:
         assert result.n_iterations == 300
 
     def test_best_iterate_is_kept(self, rng):
-        # huge step size makes the trajectory bounce; device must still end
-        # at the best visited point
+        # huge step size makes the trajectory bounce; the fit must still
+        # return the best visited point
         geom = _geometry(2)
         device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
         target = svd_target(h, 2)
         result = fit_sim_to_target(coupling_chain(geom), device, target,
                                    FitConfig(iterations=50, step_size=5.0))
-        achieved = np.linalg.norm(_forward(geom, device) - target) \
+        achieved = np.linalg.norm(_forward(geom, device, result.params) - target) \
             / np.linalg.norm(target)
         assert np.isclose(achieved, result.residual, atol=1e-12)
 
     def test_zero_iterations_reports_initial_state(self, rng):
         geom = _geometry(2)
         device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
-        x0 = device.flat().copy()
         h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
         target = svd_target(h, 2)
         result = fit_sim_to_target(coupling_chain(geom), device, target,
                                    FitConfig(iterations=0))
         assert result.n_iterations == 0
-        assert np.array_equal(device.flat(), x0)
-        start = np.linalg.norm(_forward(geom, device) - target) \
+        assert np.array_equal(result.params, device.params.ravel())
+        start = np.linalg.norm(_forward(geom, device, result.params) - target) \
             / np.linalg.norm(target)
         assert np.isclose(result.residual, start, atol=1e-12)
 
@@ -117,11 +116,24 @@ class TestFit:
         # the device's own response is met at the first evaluation
         geom = _geometry(2)
         device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
-        x0 = device.flat().copy()
-        result = fit_sim_to_target(coupling_chain(geom), device, _forward(geom, device))
+        x0 = device.params.ravel()
+        result = fit_sim_to_target(coupling_chain(geom), device, _forward(geom, device, x0))
         assert result.converged and result.residual == 0.0
         assert result.n_iterations == 0
-        assert np.array_equal(device.flat(), x0)
+        assert np.array_equal(result.params, x0)
+
+    def test_leaves_device_and_target_unchanged(self, rng):
+        geom = _geometry(2)
+        device = SimDevice(16, DeviceConfig(("ac", "pc")), rng=np.random.default_rng(8))
+        params = device.params.copy()
+        target = svd_target(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)), 2)
+        target_before = target.copy()
+        result = fit_sim_to_target(coupling_chain(geom), device, target,
+                                   FitConfig(iterations=20))
+        assert not np.array_equal(result.params, params.ravel())
+        assert np.array_equal(device.params, params)
+        assert not device.params.flags.writeable
+        assert np.array_equal(target, target_before)
 
     @pytest.mark.parametrize("key, value", [("iterations", -2), ("step_size", 0.0),
                                             ("step_size", np.inf), ("tolerance", -1e-3)])
@@ -132,13 +144,13 @@ class TestFit:
     def test_zero_target_drives_amplitudes_to_floor(self):
         geom = _geometry(1)
         device = SimDevice(16, DeviceConfig(("ac",)), rng=np.random.default_rng(2))
-        start = np.abs(device.taus()[0])
+        start = np.abs(device.taus(device.params.ravel())[0])
         result = fit_sim_to_target(coupling_chain(geom), device,
                                    np.zeros((2, 16), dtype=complex),
                                    FitConfig(iterations=600, step_size=0.05))
         assert isinstance(result, FitResult)
         floor = device.alpha_min
-        amps = np.abs(device.taus()[0])
+        amps = np.abs(device.taus(result.params)[0])
         # Adam creeps through the last stretch; near the floor is enough
         assert np.all(amps < start)
         assert np.all(amps < floor + 0.05 * (start.mean() - floor))

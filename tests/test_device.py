@@ -31,15 +31,15 @@ def _layerwise_init(n_cells, kinds, rng, bounds_db=(-22.0, 13.0)):
     return params, frozen
 
 
-def _layers(dev):
+def _layers(dev, x):
     kinds = ["pc" if pc else "ac" for pc in dev.pc]
     frozen = [None if pc else phi for pc, phi in zip(dev.pc, dev.frozen_phases)]
-    return kinds, list(dev.params), frozen
+    return kinds, list(x.reshape(dev.params.shape)), frozen
 
 
-def _layerwise_taus(dev):
+def _layerwise_taus(dev, x):
     out = []
-    for kind, p, phi in zip(*_layers(dev)):
+    for kind, p, phi in zip(*_layers(dev, x)):
         if kind == "pc":
             out.append(dev.pc_amplitude * np.exp(1j * p))
         else:
@@ -48,9 +48,10 @@ def _layerwise_taus(dev):
     return out
 
 
-def _layerwise_param_grad(dev, tau_cograds):
+def _layerwise_param_grad(dev, x, tau_cograds):
     parts = []
-    for kind, p, phi, tau, gbar in zip(*_layers(dev), _layerwise_taus(dev), tau_cograds):
+    for kind, p, phi, tau, gbar in zip(*_layers(dev, x), _layerwise_taus(dev, x),
+                                       tau_cograds):
         if kind == "pc":
             parts.append(-2.0 * np.imag(np.conj(gbar) * tau))
         else:
@@ -60,9 +61,9 @@ def _layerwise_param_grad(dev, tau_cograds):
     return np.concatenate(parts)
 
 
-def _phases(dev):
+def _phases(dev, x):
     """Per-layer phases wrapped to [0, 2*pi)."""
-    return np.mod(np.angle(dev.taus()), 2.0 * np.pi)
+    return np.mod(np.angle(dev.taus(x)), 2.0 * np.pi)
 
 
 def test_constructor_validation():
@@ -91,8 +92,8 @@ def test_from_geometry_sizes(small_geometry):
                     rng=np.random.default_rng(0))
     assert dev.params.shape == dev.frozen_phases.shape == (3, 16)
     assert dev.pc.tolist() == [False, True, True]
-    assert dev.n_params == 48
-    assert dev.taus().shape == (3, 16)
+    assert dev.params.size == 48
+    assert dev.taus(dev.params.ravel()).shape == (3, 16)
 
 
 @pytest.mark.parametrize("kinds", MIXED_STACKS)
@@ -109,16 +110,16 @@ def test_taus_and_param_grad_match_layerwise_oracle(kinds, rng):
     dev = SimDevice(5, DeviceConfig(kinds), rng=rng)
     shape = (len(kinds), 5)
     for scale in (1.0, 40.0):
-        dev.set_flat(scale * rng.normal(size=dev.n_params))
+        x = scale * rng.normal(size=dev.params.size)
         cograds = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert np.array_equal(dev.taus(), np.array(_layerwise_taus(dev)))
-        assert np.array_equal(dev.param_grad(cograds),
-                              _layerwise_param_grad(dev, list(cograds)))
+        assert np.array_equal(dev.taus(x), np.array(_layerwise_taus(dev, x)))
+        assert np.array_equal(dev.param_grad(x, cograds),
+                              _layerwise_param_grad(dev, x, list(cograds)))
 
 
 def test_pc_amplitude_fixed():
     dev = _device()
-    amps = np.abs(dev.taus())
+    amps = np.abs(dev.taus(dev.params.ravel()))
     assert np.allclose(amps[0], 0.9)
     assert np.allclose(amps[2], 0.9)
 
@@ -127,52 +128,45 @@ def test_ac_initialized_at_midpoint_gain():
     dev = SimDevice(8, DeviceConfig(["ac"], gain_bounds_db=(-22.0, 13.0)),
                     rng=np.random.default_rng(1))
     want = 10.0 ** ((-22.0 + 13.0) / 2.0 / 20.0)
-    assert np.allclose(np.abs(dev.taus()[0]), want, rtol=1e-12)
+    assert np.allclose(np.abs(dev.taus(dev.params.ravel())[0]), want, rtol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-50.0, 50.0), min_size=12, max_size=12))
 def test_amplitudes_respect_bounds(values):
     dev = _device(kinds=("ac", "ac", "ac"))
-    dev.set_flat(np.asarray(values))
     lo = 10.0 ** (-22.0 / 20.0)
     hi = 10.0 ** (13.0 / 20.0)
-    amps = np.abs(dev.taus())
+    amps = np.abs(dev.taus(np.asarray(values)))
     assert np.all(amps >= lo - 1e-12)
     assert np.all(amps <= hi + 1e-12)
 
 
 def test_flat_round_trip(rng):
     dev = _device()
-    x = dev.flat()
+    x = dev.params.ravel()
     assert x.shape == (12,)
-    dev.set_flat(x)
-    assert np.array_equal(dev.flat(), x)
-    y = rng.normal(size=12)
-    dev.set_flat(y)
-    assert np.allclose(dev.flat(), y)
-    # row by row: layer l holds flat()[4l:4l+4]
-    assert np.array_equal(dev.params[1], y[4:8])
-    with pytest.raises(ValueError):
-        dev.set_flat(np.zeros(11))
+    # row by row: layer l reads x[4l:4l+4]
+    y = x.copy()
+    y[4:8] = rng.normal(size=4)
+    assert np.any(dev.taus(y) != dev.taus(x), axis=1).tolist() == [False, True, False]
+    for bad in (np.zeros(11), np.zeros(13)):
+        with pytest.raises(ValueError):
+            dev.taus(bad)
+        with pytest.raises(ValueError):
+            dev.param_grad(bad, np.zeros((3, 4), dtype=complex))
 
 
-def test_set_flat_copies_input(rng):
+def test_params_are_read_only():
     dev = _device()
-    y = rng.normal(size=12)
-    dev.set_flat(y)
-    y[0] += 1.0
-    assert dev.flat()[0] != y[0]
-    x = dev.flat()
-    x[1] += 1.0
-    assert dev.flat()[1] != x[1]
+    with pytest.raises(ValueError):
+        dev.params[0, 0] = 1.0
 
 
 def test_ac_phases_frozen_under_updates(rng):
     dev = _device()
-    before = np.angle(dev.taus()[1])
-    dev.set_flat(rng.normal(size=12))
-    after = np.angle(dev.taus()[1])
+    before = np.angle(dev.taus(dev.params.ravel())[1])
+    after = np.angle(dev.taus(rng.normal(size=12))[1])
     assert np.allclose(before, after)
 
 
@@ -180,8 +174,7 @@ def test_phases_wrapped():
     """An unbounded pc parameter is the phase of its tau modulo 2*pi."""
     dev = _device()
     x = np.linspace(-30.0, 30.0, 12)
-    dev.set_flat(x)
-    ph = _phases(dev)
+    ph = _phases(dev, x)
     assert np.all(ph >= 0.0)
     assert np.all(ph < 2.0 * np.pi)
     off = ph[dev.pc] - x.reshape(3, 4)[dev.pc]
@@ -194,12 +187,10 @@ def test_param_grad_matches_finite_difference(rng):
     cs = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
 
     def loss_at(x):
-        dev.set_flat(x)
-        return 2.0 * np.real(np.vdot(cs, dev.taus()))
+        return 2.0 * np.real(np.vdot(cs, dev.taus(x)))
 
-    x0 = dev.flat()
-    dev.set_flat(x0)
-    grad = dev.param_grad(cs)
+    x0 = dev.params.ravel()
+    grad = dev.param_grad(x0, cs)
     assert grad.shape == (12,)
     eps = 1e-6
     for i in range(12):
@@ -208,10 +199,9 @@ def test_param_grad_matches_finite_difference(rng):
         dn[i] -= eps
         fd = (loss_at(up) - loss_at(dn)) / (2 * eps)
         assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
-    dev.set_flat(x0)
 
 
 def test_param_grad_zero_cograd_is_zero():
     dev = _device()
-    grad = dev.param_grad(np.zeros((3, 4), dtype=complex))
+    grad = dev.param_grad(dev.params.ravel(), np.zeros((3, 4), dtype=complex))
     assert np.array_equal(grad, np.zeros(12))

@@ -119,17 +119,29 @@ class TestRunExperiment:
         pooled = run_experiment(tiny_config, tmp_path / "pooled", workers=2)
         assert serial["totals"] == pooled["totals"]
 
-    def test_snapshots_written(self, tiny_config, tmp_path):
+    def test_snapshots_written(self, tiny_config, tmp_path, monkeypatch):
         import dataclasses
         cfg = dataclasses.replace(
             tiny_config,
             simulation=dataclasses.replace(tiny_config.simulation, n_trials=1),
             output=dataclasses.replace(tiny_config.output, snapshots=True))
+        returned = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                returned.append(fn(*args, **kwargs))
+                return returned[-1]
+            return wrapped
+        monkeypatch.setattr(experiment, "fit_sim_to_target",
+                            recording(experiment.fit_sim_to_target))
+        monkeypatch.setattr(experiment, "train", recording(experiment.train))
         run_experiment(cfg, tmp_path / "out", workers=1)
         snap = np.load(tmp_path / "out" / "snapshots" / "trial_0000.npz")
-        assert "model_based" in snap.files
-        assert "data_driven|qpsk|4.0" in snap.files
+        assert sorted(snap.files) == ["data_driven|qpsk|4.0", "model_based"]
         assert snap["model_based"].shape == (32,)
+        fit, (trained, _, _) = returned
+        assert np.array_equal(snap["model_based"], fit.params)
+        assert np.array_equal(snap["data_driven|qpsk|4.0"], trained)
 
     def test_all_failures_raise(self, tiny_config, tmp_path, monkeypatch):
         def boom(cfg, index, seed):
