@@ -7,13 +7,12 @@ Subcommands:
   demo             bundled reference config at a reduced trial count
 
 Flags --seed / --trials override the config's master seed and trial count;
---workers sizes the process pool (default: all cores); --out-dir picks the
-result directory.
+--workers sizes the process pool (default: the CPUs this process may use);
+--out-dir picks the result directory.
 """
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .config import (ConfigConstraintError, ConfigError, bundled_config_path,
                      dump_config, load_config)
-from .experiment import ExperimentError, read_ber_csv, run_experiment
+from .experiment import ExperimentError, read_ber_csv, run_experiment, usable_cpus
 from .training import finite_difference_check
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -109,8 +108,8 @@ def main(argv=None):
     def add_common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel trial workers (default: all cores)")
+        p.add_argument("--workers", type=int, default=usable_cpus(),
+                       help="parallel trial workers (default: the CPUs this process may use)")
         p.add_argument("--out-dir", default=None, help="result directory")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
 

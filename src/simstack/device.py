@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .geometry import _positive
 
@@ -34,6 +33,19 @@ LAYER_KINDS = ("pc", "ac")
 
 def _db_to_linear(db):
     return 10.0 ** (db / 20.0)
+
+
+def _sigmoid(u):
+    with np.errstate(over="ignore"):    # exp(-u) = inf below u = -709.78: sigmoid 0
+        return 1.0 / (1.0 + np.exp(-u))
+
+
+def _logit(p):
+    # log(p/(1-p)) loses precision near p = 1/2, the log1p difference does not
+    if 0.3 <= p <= 0.65:
+        s = 2.0 * (p - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    return math.log(p / (1.0 - p))
 
 
 # Config readers of the list-valued keys; a ValueError names the key.
@@ -82,7 +94,7 @@ class SimDevice:
         self.alpha_max = _db_to_linear(hi_db)
         # geometric midpoint of the gain range (arithmetic in dB)
         alpha0 = _db_to_linear(0.5 * (lo_db + hi_db))
-        u0 = logit((alpha0 - self.alpha_min) / (self.alpha_max - self.alpha_min))
+        u0 = _logit((alpha0 - self.alpha_min) / (self.alpha_max - self.alpha_min))
         shape = (len(self.pc), int(n_cells))
         self.params = np.full(shape, u0)
         self.frozen_phases = np.zeros(shape)
@@ -102,7 +114,7 @@ class SimDevice:
         taus = np.empty(u.shape, complex)
         taus[pc] = self.pc_amplitude * np.exp(1j * u[pc])
         taus[ac] = (self.alpha_min + (self.alpha_max - self.alpha_min)
-                    * expit(u[ac])) * self._frozen_phasors
+                    * _sigmoid(u[ac])) * self._frozen_phasors
         return taus
 
     def param_grad(self, x, tau_cograds):
@@ -112,7 +124,7 @@ class SimDevice:
         u = np.reshape(x, self.params.shape)
         pc, ac = self.pc, ~self.pc
         gbar = np.conj(tau_cograds)
-        s = expit(u[ac])
+        s = _sigmoid(u[ac])
         dalpha_du = (self.alpha_max - self.alpha_min) * s * (1.0 - s)
         grad = np.empty(u.shape)
         grad[pc] = -2.0 * np.imag(gbar[pc] * self.taus(x)[pc])

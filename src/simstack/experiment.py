@@ -14,6 +14,8 @@ same transmitted blocks per point.
 """
 
 import json
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -112,6 +114,23 @@ def _trial_task(args):
         return TrialRecord(index, failed=True, note=f"{type(exc).__name__}: {exc}")
 
 
+def usable_cpus():
+    """CPUs this process may run on; os.cpu_count() also counts the rest."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def environment(workers):
+    """What a run's bits and speed depend on besides its config."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "threads": {k: v for k, v in sorted(os.environ.items())
+                        if k.endswith("_NUM_THREADS")},
+            "cpus": usable_cpus(), "workers": workers}
+
+
 def run_trials(cfg, workers=1):
     n = cfg.simulation.n_trials
     seeds = np.random.SeedSequence(cfg.simulation.master_seed).spawn(n)
@@ -208,6 +227,7 @@ def run_experiment(cfg, out_dir, workers=1):
         "fit_residual_mean": float(np.mean(residuals)) if residuals else None,
         "fit_residual_max": float(np.max(residuals)) if residuals else None,
         "n_fit_not_converged": sum(not r.fit_converged for r in fits),
+        "environment": environment(workers),
         "config": cfg.to_dict(),
     }
     (out_dir / cfg.output.manifest).write_text(json.dumps(manifest, indent=2) + "\n")

@@ -13,7 +13,6 @@ for equal per-user noise variances.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ def mmse_precoder(g, h, snr, total_power):
     m = np.asarray(g) @ np.asarray(h)            # N x K
     n = m.shape[0]
     reg = m @ m.conj().T + (1.0 / snr) * np.eye(n)
-    a = scipy.linalg.solve(reg, m, assume_a="pos").conj().T   # K x N
+    a = np.linalg.solve(reg, m).conj().T     # K x N; reg is Hermitian positive definite
     scale = np.linalg.norm(a)
     beta = scale / np.sqrt(total_power)
     p = a / beta

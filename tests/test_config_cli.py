@@ -318,6 +318,28 @@ class TestCli:
         assert err.startswith("config error: ") and key in err
 
     @pytest.mark.parametrize("command", ["run", "demo"])
+    @pytest.mark.parametrize("affinity, workers", [({1}, 1), (None, 64)])
+    def test_worker_default_counts_usable_cpus(self, tmp_path, tiny_config_text,
+                                               monkeypatch, command, affinity, workers):
+        # cpu_count() counts CPUs the affinity mask may exclude
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        seen = []
+
+        def fake_run(cfg, out_dir, workers):
+            seen.append(workers)
+            return {"outputs": [], "manifest": "manifest.json", "n_failed": 0}
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(tiny_config_text)
+        args = [command] + ([str(cfg_path)] if command == "run" else [])
+        assert main(args + ["--out-dir", str(tmp_path / "out")]) == 0
+        assert seen == [workers]
+
+    @pytest.mark.parametrize("command", ["run", "demo"])
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_run_rejects_bad_worker_count(self, tmp_path, tiny_config_text, capsys,
                                           command, workers):

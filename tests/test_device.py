@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit, logit
 
-from simstack.device import DeviceConfig, SimDevice
+from simstack.device import DeviceConfig, SimDevice, _logit, _sigmoid
 
 MIXED_STACKS = [("pc", "ac", "pc"), ("ac", "ac", "pc", "ac", "pc"), ("pc",), ("ac",)]
 
@@ -19,7 +20,7 @@ def _device(rng=None, kinds=("pc", "ac", "pc")):
 def _layerwise_init(n_cells, kinds, rng, bounds_db=(-22.0, 13.0)):
     a_min, a_max = (10.0 ** (b / 20.0) for b in bounds_db)
     alpha0 = 10.0 ** (0.5 * (bounds_db[0] + bounds_db[1]) / 20.0)
-    u0 = logit((alpha0 - a_min) / (a_max - a_min))
+    u0 = _logit((alpha0 - a_min) / (a_max - a_min))
     params, frozen = [], []
     for kind in kinds:
         if kind == "pc":
@@ -43,7 +44,7 @@ def _layerwise_taus(dev, x):
         if kind == "pc":
             out.append(dev.pc_amplitude * np.exp(1j * p))
         else:
-            alpha = dev.alpha_min + (dev.alpha_max - dev.alpha_min) * expit(p)
+            alpha = dev.alpha_min + (dev.alpha_max - dev.alpha_min) * _sigmoid(p)
             out.append(alpha * np.exp(1j * phi))
     return out
 
@@ -55,7 +56,7 @@ def _layerwise_param_grad(dev, x, tau_cograds):
         if kind == "pc":
             parts.append(-2.0 * np.imag(np.conj(gbar) * tau))
         else:
-            s = expit(p)
+            s = _sigmoid(p)
             dalpha_du = (dev.alpha_max - dev.alpha_min) * s * (1.0 - s)
             parts.append(2.0 * np.real(np.conj(gbar) * np.exp(1j * phi)) * dalpha_du)
     return np.concatenate(parts)
@@ -115,6 +116,23 @@ def test_taus_and_param_grad_match_layerwise_oracle(kinds, rng):
         assert np.array_equal(dev.taus(x), np.array(_layerwise_taus(dev, x)))
         assert np.array_equal(dev.param_grad(x, cograds),
                               _layerwise_param_grad(dev, x, list(cograds)))
+
+
+def test_sigmoid_and_logit_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(5)
+    u = np.concatenate([[-800.0, 800.0], np.linspace(-800.0, 800.0, 160001),
+                        rng.uniform(-40.0, 40.0, 10**5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # no overflow warning where exp(-u) saturates
+        s = _sigmoid(u)
+    # numpy's exp and the C library's exp, which scipy calls, differ in the last bits
+    np.testing.assert_array_max_ulp(s, special.expit(u), maxulp=4)
+    assert s[0] == 0.0 and s[1] == 1.0
+    # both branches of scipy's formula and the edges between them
+    p = np.concatenate([rng.random(10**5), [0.3, 0.65, 0.5],
+                        np.nextafter([0.3, 0.65], [0.0, 1.0])])
+    assert np.array_equal([_logit(v) for v in p], special.logit(p))
 
 
 def test_pc_amplitude_fixed():

@@ -1,4 +1,9 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +123,20 @@ class TestRunExperiment:
         serial = run_experiment(tiny_config, tmp_path / "serial", workers=1)
         pooled = run_experiment(tiny_config, tmp_path / "pooled", workers=2)
         assert serial["totals"] == pooled["totals"]
+        assert [Path(p).read_bytes() for p in serial["outputs"]] == \
+            [Path(p).read_bytes() for p in pooled["outputs"]]
+
+    def test_manifest_records_environment(self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        summary = run_experiment(tiny_config, tmp_path / "out", workers=2)
+        env = json.loads(Path(summary["manifest"]).read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                       "blas": f"{blas['name']} {blas['version']}",
+                       "threads": {**env["threads"], "OMP_NUM_THREADS": "1"},
+                       "cpus": experiment.usable_cpus(), "workers": 2}
+        assert "OPENBLAS_NUM_THREADS" not in env["threads"]
 
     def test_snapshots_written(self, tiny_config, tmp_path, monkeypatch):
         import dataclasses
@@ -211,20 +230,18 @@ class TestRunExperiment:
                            tmp_path / "out", workers=1)
 
     def test_precoder_linalg_error_is_recorded(self, tiny_config, tmp_path, monkeypatch):
-        # the MMSE solve of trial 0 gets a matrix that is not positive
-        # definite, so its Cholesky factorisation fails
+        # the first MMSE solve of trial 0 gets a singular system
         import dataclasses
-        import scipy.linalg
         clean = run_trials(tiny_config, workers=1)
-        real = scipy.linalg.solve
+        real = np.linalg.solve
         calls = []
 
-        def indefinite_first(a, b, **kwargs):
-            calls.append(kwargs)
-            return real(-a if len(calls) == 1 else a, b, **kwargs)
-        monkeypatch.setattr(scipy.linalg, "solve", indefinite_first)
+        def singular_first(a, b):
+            calls.append(a.shape)
+            return real(np.zeros_like(a) if len(calls) == 1 else a, b)
+        monkeypatch.setattr(np.linalg, "solve", singular_first)
         records = run_trials(tiny_config, workers=1)
-        assert calls[0] == {"assume_a": "pos"}
+        assert calls[0] == (2, 2)
         assert records[0].failed
         assert records[0].note.startswith("LinAlgError: ")
         assert records[1].counts == clean[1].counts
@@ -242,3 +259,22 @@ def test_run_trials_spawns_independent_seeds(tiny_config):
     records = run_trials(tiny_config, workers=1)
     assert [r.index for r in records] == [0, 1]
     assert records[0].counts != records[1].counts
+
+
+def test_runtime_imports_no_scipy(tiny_config_text, tmp_path):
+    # scipy is a test dependency only: a run and the gradient check in a
+    # fresh interpreter must not load it
+    (tmp_path / "tiny.yaml").write_text(tiny_config_text)
+    script = """
+import sys
+import simstack
+from simstack.training import finite_difference_check
+simstack.run_experiment(simstack.load_config("tiny.yaml"), "out", workers=1)
+finite_difference_check()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = Path(experiment.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
