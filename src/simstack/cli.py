@@ -7,7 +7,8 @@ Subcommands:
   demo             bundled reference config at a reduced trial count
 
 Flags --seed / --trials override the config's master seed and trial count;
---workers sizes the process pool (default: the CPUs this process may use);
+--workers sizes the process pool (default: the CPUs this process may use),
+capped at the trial count; one worker runs in-process without a pool;
 --out-dir picks the result directory.
 """
 
@@ -109,7 +110,8 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--workers", type=int, default=usable_cpus(),
-                       help="parallel trial workers (default: the CPUs this process may use)")
+                       help="parallel trial workers, at most one per trial; 1 runs in-process "
+                            "(default: the CPUs this process may use)")
         p.add_argument("--out-dir", default=None, help="result directory")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
 

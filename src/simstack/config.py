@@ -11,7 +11,6 @@ fitting sections are `geometry.SimGeometry`, `device.DeviceConfig`,
 `training.TrainingConfig` and `design.FitConfig` themselves.
 """
 
-import hashlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -157,6 +156,7 @@ class ExperimentConfig:
                 for m in dict.fromkeys(c.modulation for c in self.simulation.curves)}
 
     def sha256(self):
+        import hashlib    # OpenSSL's libcrypto: loaded only when a config is hashed
         blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -16,7 +16,6 @@ same transmitted blocks per point.
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -132,11 +131,17 @@ def environment(workers):
 
 
 def run_trials(cfg, workers=1):
+    """Records of every trial, in index order. The pool has at most one
+    worker per trial; a single worker runs the trials in-process."""
     n = cfg.simulation.n_trials
     seeds = np.random.SeedSequence(cfg.simulation.master_seed).spawn(n)
     tasks = [(cfg, i, seeds[i]) for i in range(n)]
+    workers = min(workers, n)
     if workers == 1:
         return [_trial_task(t) for t in tasks]
+    # only a pool run loads the multiprocessing stack; a forked pool starts
+    # all its workers at the first submit
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_task, tasks))
 
@@ -199,6 +204,7 @@ def run_experiment(cfg, out_dir, workers=1):
     failed-trial fraction exceeds the configured tolerance."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    workers = min(workers, cfg.simulation.n_trials)    # the count run_trials uses
     records = run_trials(cfg, workers=workers)
     failed = [r for r in records if r.failed]
     if len(failed) == len(records):

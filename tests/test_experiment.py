@@ -121,10 +121,26 @@ class TestRunExperiment:
 
     def test_worker_count_is_immaterial(self, tiny_config, tmp_path):
         serial = run_experiment(tiny_config, tmp_path / "serial", workers=1)
-        pooled = run_experiment(tiny_config, tmp_path / "pooled", workers=2)
-        assert serial["totals"] == pooled["totals"]
-        assert [Path(p).read_bytes() for p in serial["outputs"]] == \
-            [Path(p).read_bytes() for p in pooled["outputs"]]
+        for workers in (2, 8):
+            pooled = run_experiment(tiny_config, tmp_path / f"pooled{workers}",
+                                    workers=workers)
+            assert serial["totals"] == pooled["totals"]
+            assert [Path(p).read_bytes() for p in serial["outputs"]] == \
+                [Path(p).read_bytes() for p in pooled["outputs"]]
+            # the pool never outnumbers the 2 trials
+            manifest = json.loads(Path(pooled["manifest"]).read_text())
+            assert manifest["environment"]["workers"] == 2
+
+    def test_one_trial_runs_without_a_pool(self, tiny_config, tmp_path, monkeypatch):
+        import dataclasses
+        cfg = dataclasses.replace(
+            tiny_config, simulation=dataclasses.replace(tiny_config.simulation, n_trials=1))
+        # a pool would fail to import
+        monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+        summary = run_experiment(cfg, tmp_path / "out", workers=4)
+        manifest = json.loads(Path(summary["manifest"]).read_text())
+        assert summary["n_failed"] == 0
+        assert manifest["environment"]["workers"] == 1
 
     def test_manifest_records_environment(self, tiny_config, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -263,18 +279,27 @@ def test_run_trials_spawns_independent_seeds(tiny_config):
 
 def test_runtime_imports_no_scipy(tiny_config_text, tmp_path):
     # scipy is a test dependency only: a run and the gradient check in a
-    # fresh interpreter must not load it
+    # fresh interpreter must not load it. The process-pool stack loads only
+    # for a pool run, and hashlib only when a config is hashed.
     (tmp_path / "tiny.yaml").write_text(tiny_config_text)
     script = """
-import sys
+import json, sys
+WATCHED = ("scipy", "concurrent.futures", "multiprocessing", "hashlib")
+def loaded():
+    return sorted(m for m in sys.modules
+                  if any(m == w or m.startswith(w + ".") for w in WATCHED))
 import simstack
+after_import = loaded()
 from simstack.training import finite_difference_check
 simstack.run_experiment(simstack.load_config("tiny.yaml"), "out", workers=1)
 finite_difference_check()
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps([after_import, loaded()]))
 """
     src = Path(experiment.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    after_import, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    # the run hashes its config for the CSV headers and the manifest
+    assert set(after_run) <= {"hashlib"}
