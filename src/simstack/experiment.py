@@ -65,13 +65,17 @@ def run_trial(cfg, index, trial_seed):
     h_direct = generate_channel(n, k, np.random.default_rng(streams[1]))
 
     record = TrialRecord(index, snapshots={} if cfg.output.snapshots else None)
-    g_fit = None
+    # every link is a precoder through a stack response over a channel;
+    # no_sim (G = I) and model_based keep one response for the whole trial
+    responses = {}
+    if "no_sim" in sim.methods:
+        responses["no_sim"] = (np.eye(n), h_direct)
     if "model_based" in sim.methods:
         device = SimDevice(geometry.n_cells, cfg.device, np.random.default_rng(streams[2]))
         fit = fit_sim_to_target(ws, device, svd_target(h, n), cfg.fitting)
         record.fit_residual = fit.residual
         record.fit_converged = fit.converged
-        g_fit = ForwardOperator(ws, device.taus(fit.params)).matrix
+        responses["model_based"] = (ForwardOperator(ws, device.taus(fit.params)).matrix, h)
         if record.snapshots is not None:
             record.snapshots["model_based"] = fit.params
 
@@ -79,27 +83,22 @@ def run_trial(cfg, index, trial_seed):
         constellation = constellation_for(modulation)
         sigma2 = ebn0_to_noise_variance(ebn0, constellation)
         snr = link_snr(sim.total_power, k, sigma2)
-        links = {}
-        if "no_sim" in sim.methods:
-            pre = mmse_precoder(np.eye(n), h_direct, snr, sim.total_power)
-            links["no_sim"] = (pre.matrix @ h_direct, pre.beta)
-        if "model_based" in sim.methods:
-            pre = mmse_precoder(g_fit, h, snr, sim.total_power)
-            links["model_based"] = (effective_channel(pre.matrix, g_fit, h), pre.beta)
+        links = {method: (mmse_precoder(g, channel, snr, sim.total_power), g, channel)
+                 for method, (g, channel) in responses.items()}
         if "data_driven" in sim.methods:
             dd_rng = np.random.default_rng(streams[3 + 2 * i])
             device = SimDevice(geometry.n_cells, cfg.device, dd_rng)
             trained, pre, _ = train(ws, device, h, cfg.training, constellation,
                                     sim.total_power, snr=snr, seed=dd_rng)
-            g_dd = ForwardOperator(ws, device.taus(trained)).matrix
-            links["data_driven"] = (effective_channel(pre.matrix, g_dd, h), pre.beta)
+            links["data_driven"] = (pre, ForwardOperator(ws, device.taus(trained)).matrix, h)
             if record.snapshots is not None:
                 record.snapshots[f"data_driven|{modulation}|{ebn0}"] = trained
 
         noise_rng = np.random.default_rng(streams[4 + 2 * i])
         for method in sim.methods:
-            f, beta = links[method]
-            errors, bits = simulate_block(f, beta, sigma2, constellation,
+            pre, g, channel = links[method]
+            f = effective_channel(pre.matrix, g, channel)
+            errors, bits = simulate_block(f, pre.beta, sigma2, constellation,
                                           sim.bits_per_user, noise_rng)
             record.counts[(method, modulation, ebn0)] = (errors, bits)
     return record

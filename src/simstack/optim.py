@@ -17,16 +17,15 @@ class GradientDescent:
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction."""
+    """Adaptive-moment estimation with bias correction, at Kingma and Ba's constants."""
 
-    def __init__(self, step_size, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, step_size):
         self.m = 0.0             # moments broadcast to the gradient's shape
         self.v = 0.0
         self.t = 0
         self.step_size = float(step_size)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def step(self, grad):
         grad = np.asarray(grad)

@@ -159,15 +159,15 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     return x[:n], Precoder(p, total_power, beta), report
 
 
-def finite_difference_check(step=1e-4, seed=7, snr=10.0):
+def finite_difference_check(step=1e-4, seed=7):
     """Analytic gradients vs central finite differences on a downscaled
     system (L=3, 4x4 cells, N=K=2, one amplitude layer).
 
     Checks the gradient of the evaluation that `train` runs at every
     trainable parameter (device backing parameters and precoder
-    real/imaginary parts) for one fixed pilot block and noise draw, against
-    losses from an independent forward pass. Returns a dict of max
-    relative errors.
+    real/imaginary parts) for one fixed pilot block and noise draw at SNR
+    10, against losses from an independent forward pass. Returns a dict of
+    max relative errors.
     """
     rng = np.random.default_rng(seed)
     # unit carrier wavelength; half-wavelength spacings and (lambda/2)^2 areas
@@ -175,7 +175,7 @@ def finite_difference_check(step=1e-4, seed=7, snr=10.0):
                            carrier_frequency_hz=3.0e8, array_to_first_layer_wl=0.5)
     ws = coupling_chain(geometry)
     device = SimDevice(geometry.n_cells, DeviceConfig(("ac", "pc", "pc")), rng)
-    k, n, s = 2, 2, 16
+    k, n, s, snr = 2, 2, 16, 10.0
     total_power = float(k)
     h = generate_channel(16, k, rng)
     b = make_constellation(4).points[rng.integers(0, 4, (s, k))]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import closed_form_mse, mse_with_optimal_scale, spectral_mse
+from simstack.linklevel import generate_channel
 from simstack.precoding import (Precoder, TrainablePrecoder, effective_channel,
                                 mmse_precoder, optimal_receiver_scale)
 
@@ -82,6 +83,21 @@ def test_construction_beta_is_optimal_scale(rng):
         f = effective_channel(pre.matrix, g, h)
         assert np.isclose(optimal_receiver_scale(f, sigma2), pre.beta,
                           rtol=1e-10)
+
+
+def test_identity_response_link_is_the_direct_product(rng):
+    """The no-stack link is MMSE through G = I over the direct channel, so
+    its effective channel P·I·H must be P·H bit for bit. A BLAS whose
+    identity product is inexact fails here, on any build, instead of
+    silently moving the no_sim BER counts."""
+    for n in range(1, 9):
+        eye = np.eye(n)
+        for k in range(1, n + 1):
+            for _ in range(10):
+                h = generate_channel(n, k, rng)
+                pre = mmse_precoder(eye, h, float(rng.uniform(0.1, 100.0)), float(k))
+                assert np.array_equal(effective_channel(pre.matrix, eye, h),
+                                      pre.matrix @ h), (n, k)
 
 
 def test_mmse_achieves_closed_form_and_beats_perturbations(rng):

@@ -233,7 +233,7 @@ def test_evaluation_gradient_more_antennas_than_users(rng):
 
 
 def test_finite_difference_check_small_step():
-    out = finite_difference_check(step=1e-4, seed=7, snr=10.0)
+    out = finite_difference_check(step=1e-4, seed=7)
     assert out["device"] < 1e-5
     assert out["precoder"] < 1e-5
     assert out["n_parameters"] == 56
