@@ -8,8 +8,8 @@ Subcommands:
 
 Flags --seed / --trials override the config's master seed and trial count;
 --workers sizes the process pool (default: the CPUs this process may use),
-capped at the trial count; one worker runs in-process without a pool;
---out-dir picks the result directory.
+capped at the trial count; one worker runs in-process without a pool, and
+every trial runs on one BLAS thread; --out-dir picks the result directory.
 """
 
 import argparse
@@ -110,8 +110,9 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--workers", type=int, default=usable_cpus(),
-                       help="parallel trial workers, at most one per trial; 1 runs in-process "
-                            "(default: the CPUs this process may use)")
+                       help="parallel trial workers, at most one per trial, each trial on "
+                            "one BLAS thread; 1 runs in-process (default: the CPUs this "
+                            "process may use)")
         p.add_argument("--out-dir", default=None, help="result directory")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
 

@@ -13,6 +13,9 @@ operating point, whose SNR it tracks. Every method is evaluated on the
 same transmitted blocks per point.
 """
 
+import contextlib
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -119,29 +122,86 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas(stem, restype=ctypes.c_int, argtypes=()):
+    """numpy's bundled OpenBLAS function `stem`, under whichever name the
+    build exports it, or None when numpy's BLAS is not such a build. Looked
+    up once per process: a forked pool worker reuses its parent's lookup
+    instead of faulting in the library's symbol tables again (1.1 MB
+    resident per worker with scipy-openblas 0.3.31)."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in (f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}",
+                     f"openblas_{stem}"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, list(argtypes)
+                return fn
+    return None
+
+
+def _set_blas_threads(n):
+    """Set numpy's OpenBLAS to n threads. Returns the count it had, or None
+    when numpy's BLAS is not a bundled OpenBLAS."""
+    get = _openblas("get_num_threads")
+    set_ = _openblas("set_num_threads", None, (ctypes.c_int,))
+    if get is None or set_ is None:
+        return None
+    before = get()
+    set_(n)
+    return before
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run on one OpenBLAS thread: how a product is split across threads
+    changes its summation order, and the reference fit's residual with it.
+    Does nothing when numpy's BLAS is not a bundled OpenBLAS."""
+    before = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
 def environment(workers):
     """What a run's bits and speed depend on besides its config."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas("get_corename", ctypes.c_char_p)
     return {"python": sys.version.split()[0], "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
+            "blas_core": core().decode() if core else None,
             "threads": {k: v for k, v in sorted(os.environ.items())
                         if k.endswith("_NUM_THREADS")},
             "cpus": usable_cpus(), "workers": workers}
 
 
+def _pool_size(workers, n_trials):
+    """The worker count a run uses: at least 1, at most one per trial."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return min(workers, n_trials)
+
+
+@one_blas_thread()
 def run_trials(cfg, workers=1):
     """Records of every trial, in index order. The pool has at most one
-    worker per trial; a single worker runs the trials in-process."""
+    worker per trial; a single worker runs the trials in-process. Every
+    trial runs on one BLAS thread, so the pool is the only parallelism and,
+    on numpy's bundled OpenBLAS, the bits do not depend on *_NUM_THREADS."""
     n = cfg.simulation.n_trials
     seeds = np.random.SeedSequence(cfg.simulation.master_seed).spawn(n)
     tasks = [(cfg, i, seeds[i]) for i in range(n)]
-    workers = min(workers, n)
+    workers = _pool_size(workers, n)
     if workers == 1:
         return [_trial_task(t) for t in tasks]
     # only a pool run loads the multiprocessing stack; a forked pool starts
-    # all its workers at the first submit
+    # all its workers at the first submit. Each worker pins itself, whatever
+    # the start method.
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                             initargs=(1,)) as pool:
         return list(pool.map(_trial_task, tasks))
 
 
@@ -201,9 +261,9 @@ def run_experiment(cfg, out_dir, workers=1):
     """Run all trials, write one BER CSV per modulation plus a JSON
     manifest. Returns a summary dict; raises ExperimentError when the
     failed-trial fraction exceeds the configured tolerance."""
+    workers = _pool_size(workers, cfg.simulation.n_trials)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = min(workers, cfg.simulation.n_trials)    # the count run_trials uses
     records = run_trials(cfg, workers=workers)
     failed = [r for r in records if r.failed]
     if len(failed) == len(records):

@@ -24,8 +24,6 @@ Run it only in a change that is meant to move results, and record in
 CHANGES.md which numbers moved and why.
 """
 
-import contextlib
-import ctypes
 import json
 import sys
 import tempfile
@@ -34,68 +32,36 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent / "src"))
+
+from simstack.config import load_config
+from simstack.device import SimDevice
+from simstack.experiment import environment, one_blas_thread, run_experiment
+from simstack.linklevel import generate_channel, make_constellation
+from simstack.propagation import coupling_chain
+from simstack.training import finite_difference_check, train
+
 GOLDEN_DIR = HERE / "goldens"
 RUN_CONFIGS = ("tiny6", "reference1")
 FIT_FIELDS = ("fit_residual_mean", "fit_residual_max", "n_fit_not_converged")
 TRAIN_SEED, TRAIN_SNR = 0, 10.0
 
 
-def _openblas(stem):
-    """numpy's bundled OpenBLAS function `stem`, under whichever name the
-    build exports it, or None when numpy's BLAS is not such a build."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for name in (f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}",
-                     f"openblas_{stem}"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _openblas_core():
-    """The kernel family OpenBLAS picked for this CPU, or None."""
-    getter = _openblas("get_corename")
-    if getter is None:
-        return None
-    getter.argtypes, getter.restype = [], ctypes.c_char_p
-    return getter().decode()
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run on one OpenBLAS thread: how a product is split across threads
-    changes its summation order, and the reference fit's residual with it."""
-    get, set_ = _openblas("get_num_threads"), _openblas("set_num_threads")
-    if get is None or set_ is None:
-        yield
-        return
-    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def blas_build():
     """numpy version and BLAS build: the bits of a result depend on them."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "blas_core": _openblas_core()}
+    env = environment(workers=1)
+    return {key: env[key] for key in ("numpy", "blas", "blas_core")}
 
 
 def _json(obj):
     return (json.dumps(obj, indent=2) + "\n").encode()
 
 
-@one_blas_thread()
 def run_outputs(name, out_dir):
     """Golden path -> bytes of the BER CSVs and the manifest's fit fields,
-    from a fresh run of goldens/<name>.yaml into out_dir."""
-    from simstack.config import load_config
-    from simstack.experiment import run_experiment
+    from a fresh run of goldens/<name>.yaml into out_dir. The run pins
+    itself to one BLAS thread."""
     summary = run_experiment(load_config(GOLDEN_DIR / f"{name}.yaml"), out_dir, workers=1)
     files = {f"{name}/{Path(p).name}": Path(p).read_bytes() for p in summary["outputs"]}
     manifest = json.loads(Path(summary["manifest"]).read_text())
@@ -108,11 +74,6 @@ def train_outputs():
     """Golden path -> bytes of one `train` call at the reference geometry:
     a seeded channel and device, the reference1 training section, QPSK at
     link SNR 10."""
-    from simstack.config import load_config
-    from simstack.device import SimDevice
-    from simstack.linklevel import generate_channel, make_constellation
-    from simstack.propagation import coupling_chain
-    from simstack.training import train
     cfg = load_config(GOLDEN_DIR / "reference1.yaml")
     geometry = cfg.geometry
     rng = np.random.default_rng(TRAIN_SEED)
@@ -129,7 +90,6 @@ def train_outputs():
 
 @one_blas_thread()
 def gradcheck_outputs():
-    from simstack.training import finite_difference_check
     return {"gradcheck.json": _json(finite_difference_check())}
 
 
@@ -159,5 +119,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(HERE.parent / "src"))
     main()

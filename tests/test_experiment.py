@@ -150,9 +150,23 @@ class TestRunExperiment:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert env == {"python": platform.python_version(), "numpy": np.__version__,
                        "blas": f"{blas['name']} {blas['version']}",
+                       "blas_core": env["blas_core"],
                        "threads": {**env["threads"], "OMP_NUM_THREADS": "1"},
                        "cpus": experiment.usable_cpus(), "workers": 2}
         assert "OPENBLAS_NUM_THREADS" not in env["threads"]
+        # the OpenBLAS kernel is recorded exactly when numpy bundles OpenBLAS
+        if experiment._openblas("get_num_threads") is None:
+            assert env["blas_core"] is None
+        else:
+            assert isinstance(env["blas_core"], str) and env["blas_core"]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected_before_writing(self, tiny_config, tmp_path,
+                                                             workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_experiment(tiny_config, out, workers=workers)
+        assert not out.exists()
 
     def test_snapshots_written(self, tiny_config, tmp_path, monkeypatch):
         import dataclasses
@@ -275,6 +289,42 @@ def test_run_trials_spawns_independent_seeds(tiny_config):
     records = run_trials(tiny_config, workers=1)
     assert [r.index for r in records] == [0, 1]
     assert records[0].counts != records[1].counts
+
+
+def test_every_trial_runs_on_one_blas_thread(tiny_config, monkeypatch):
+    # with the caller at 2 OpenBLAS threads, each trial sees 1, in-process and
+    # in each of 2 pool workers; the caller is back at 2 afterwards
+    import multiprocessing
+    get = experiment._openblas("get_num_threads")
+    if get is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("a patched run_trial reaches pool workers only through fork")
+    real = run_trial
+    barrier = None
+
+    def counting(cfg, index, seed):
+        if barrier is not None:
+            barrier.wait(timeout=60)     # holds each trial until the other has a worker
+        record = real(cfg, index, seed)
+        record.note = (os.getpid(), get())
+        return record
+    monkeypatch.setattr(experiment, "run_trial", counting)
+    before = experiment._set_blas_threads(2)
+    try:
+        serial = run_trials(tiny_config, workers=1)
+        after_serial = get()
+        barrier = multiprocessing.Barrier(2)
+        pooled = run_trials(tiny_config, workers=2)
+        after_pooled = get()
+    finally:
+        experiment._set_blas_threads(before)
+    assert not any(r.failed for r in serial + pooled)
+    assert [r.note for r in serial] == [(os.getpid(), 1)] * 2
+    pids, threads = zip(*(r.note for r in pooled))
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert threads == (1, 1)
+    assert (after_serial, after_pooled) == (2, 2)
 
 
 def test_runtime_imports_no_scipy(tiny_config_text, tmp_path):
