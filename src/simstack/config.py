@@ -156,7 +156,7 @@ class ExperimentConfig:
                 for m in dict.fromkeys(c.modulation for c in self.simulation.curves)}
 
     def sha256(self):
-        import hashlib    # OpenSSL's libcrypto: loaded only when a config is hashed
+        import hashlib    # out of start-up only: numpy.random loads it at the first draw
         blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -41,30 +41,25 @@ def coupling_coefficient(distance, axial, area, wavelength):
         * np.exp(2j * np.pi * distance / wavelength)
 
 
-def build_w1(geometry):
-    """Antenna-array-to-first-layer coupling matrix, N x Q."""
-    lam = geometry.wavelength
-    sigma = geometry.array_to_first_layer_wl * lam
-    d = transverse_distances(geometry.antenna_xy(), geometry.atom_xy(), sigma)
-    return coupling_coefficient(d, sigma, geometry.antenna_area_wl2 * lam ** 2, lam)
-
-
-def build_w(geometry):
-    """Coupling matrix between any two adjacent layers, Q x Q."""
-    lam = geometry.wavelength
-    s = geometry.inter_layer_spacing_wl * lam
-    xy = geometry.atom_xy()
-    d = transverse_distances(xy, xy, s)
-    return coupling_coefficient(d, s, geometry.meta_atom_area_wl2 * lam ** 2, lam)
-
-
 @lru_cache(maxsize=8)
 def coupling_chain(geometry):
-    """[W1] + [W] * (L-1) for a geometry, the one W object repeated. Cached
-    because the chain is reused across all trials, so both matrices are
-    read-only."""
-    w1, w = build_w1(geometry), build_w(geometry)
-    w1.flags.writeable = w.flags.writeable = False
+    """[W1] + [W] * (L-1) for a geometry, the one W object repeated: W1 (N x Q)
+    couples the antennas to layer 1 and W (Q x Q) any two adjacent layers.
+    Cached because the chain is reused across all trials, so both matrices
+    are read-only."""
+    lam = geometry.wavelength
+    atoms = geometry.atom_xy()
+
+    def couple(src_xy, axial_wl, area_wl2):
+        axial = axial_wl * lam
+        d = transverse_distances(src_xy, atoms, axial)
+        w = coupling_coefficient(d, axial, area_wl2 * lam ** 2, lam)
+        w.flags.writeable = False
+        return w
+
+    w1 = couple(geometry.antenna_xy(), geometry.array_to_first_layer_wl,
+                geometry.antenna_area_wl2)
+    w = couple(atoms, geometry.inter_layer_spacing_wl, geometry.meta_atom_area_wl2)
     return [w1] + [w] * (geometry.n_layers - 1)
 
 

@@ -177,7 +177,7 @@ def finite_difference_check(step=1e-4, seed=7):
     device = SimDevice(geometry.n_cells, DeviceConfig(("ac", "pc", "pc")), rng)
     k, n, s, snr = 2, 2, 16, 10.0
     total_power = float(k)
-    h = generate_channel(16, k, rng)
+    h = generate_channel(geometry.n_cells, k, rng)
     b = make_constellation(4).points[rng.integers(0, 4, (s, k))]
     noise = complex_noise((s, k), total_power / (k * snr), rng)
     tp = TrainablePrecoder(total_power,

@@ -17,8 +17,10 @@ failure). These are deliberately heavier than the unit tests; the whole
 module runs in roughly ten minutes on one core.
 """
 
+from concurrent.futures import ProcessPoolExecutor
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from simstack.cli import main
 from simstack.config import CurveSpec
 from simstack.design import fit_sim_to_target, svd_target
 from simstack.device import SimDevice
-from simstack.experiment import aggregate, run_trials, usable_cpus
+from simstack.experiment import aggregate, one_blas_thread, run_trials, usable_cpus
 from simstack.linklevel import (ebn0_to_noise_variance, generate_channel,
                                 link_snr, make_constellation, simulate_block)
 from oracles import (atom_position, closed_form_mse, mse_with_optimal_scale,
@@ -208,22 +210,16 @@ def test_criterion_6_ber_ordering_at_high_contrast(reference_config):
     assert _report(6, ok, "; ".join(details))
 
 
-def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config):
-    cfg = reference_config
+def _criterion_7_draw(task):
+    """Trained-minus-synthesized closed-form MSE for one channel draw with
+    every layer passive, on one BLAS thread."""
+    cfg, seed, snr = task
     geometry = cfg.geometry
-    ws = coupling_chain(geometry)
-    qpsk = make_constellation(4)
-    k = cfg.simulation.n_users
-    total_power = cfg.simulation.total_power
-    snr = 10.0
-    n_draws = 50
-    passive = dataclasses.replace(cfg.device, layer_kinds=("pc",) * cfg.geometry.n_layers)
-
-    diffs = []
-    seeds = np.random.SeedSequence(4242).spawn(n_draws)
-    for t in range(n_draws):
-        rng = np.random.default_rng(seeds[t])
-        h = generate_channel(geometry.n_cells, k, rng)
+    passive = dataclasses.replace(cfg.device, layer_kinds=("pc",) * geometry.n_layers)
+    with one_blas_thread():
+        ws = coupling_chain(geometry)
+        rng = np.random.default_rng(seed)
+        h = generate_channel(geometry.n_cells, cfg.simulation.n_users, rng)
 
         dev_mb = SimDevice(geometry.n_cells, passive, rng)
         fit = fit_sim_to_target(ws, dev_mb, svd_target(h, geometry.n_antennas), cfg.fitting)
@@ -231,10 +227,24 @@ def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config
         mse_mb = closed_form_mse(g_mb, h, snr)
 
         dev_dd = SimDevice(geometry.n_cells, passive, rng)
-        x, _, _ = train(ws, dev_dd, h, cfg.training, qpsk, total_power, snr=snr, seed=rng)
+        x, _, _ = train(ws, dev_dd, h, cfg.training, make_constellation(4),
+                        cfg.simulation.total_power, snr=snr, seed=rng)
         g_dd = ForwardOperator(ws, dev_dd.taus(x)).matrix
-        mse_dd = closed_form_mse(g_dd, h, snr)
-        diffs.append(mse_dd - mse_mb)
+        return closed_form_mse(g_dd, h, snr) - mse_mb
+
+
+def test_criterion_7_passive_training_should_not_beat_synthesis(reference_config):
+    snr = 10.0
+    n_draws = 50
+    tasks = [(reference_config, seed, snr)
+             for seed in np.random.SeedSequence(4242).spawn(n_draws)]
+    workers = min(2, usable_cpus())
+    if workers == 1:
+        diffs = [_criterion_7_draw(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            diffs = list(pool.map(_criterion_7_draw, tasks))
 
     diffs = np.asarray(diffs)
     se = diffs.std(ddof=1) / np.sqrt(n_draws)

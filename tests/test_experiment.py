@@ -329,27 +329,31 @@ def test_every_trial_runs_on_one_blas_thread(tiny_config, monkeypatch):
 
 def test_runtime_imports_no_scipy(tiny_config_text, tmp_path):
     # scipy is a test dependency only: a run and the gradient check in a
-    # fresh interpreter must not load it. The process-pool stack loads only
-    # for a pool run, and hashlib only when a config is hashed.
+    # fresh interpreter must not load it. Start-up (the import, the config
+    # load and a coupling chain) loads none of the watched modules; the
+    # process-pool stack loads only for a pool run.
     (tmp_path / "tiny.yaml").write_text(tiny_config_text)
     script = """
 import json, sys
-WATCHED = ("scipy", "concurrent.futures", "multiprocessing", "hashlib")
+WATCHED = ("scipy", "concurrent.futures", "multiprocessing", "hashlib", "numpy.random")
 def loaded():
-    return sorted(m for m in sys.modules
-                  if any(m == w or m.startswith(w + ".") for w in WATCHED))
+    return [w for w in WATCHED if any(m == w or m.startswith(w + ".") for m in sys.modules)]
 import simstack
 after_import = loaded()
+cfg = simstack.load_config("tiny.yaml")
+simstack.coupling_chain(cfg.geometry)
+after_startup = loaded()
 from simstack.training import finite_difference_check
-simstack.run_experiment(simstack.load_config("tiny.yaml"), "out", workers=1)
+simstack.run_experiment(cfg, "out", workers=1)
 finite_difference_check()
-print(json.dumps([after_import, loaded()]))
+print(json.dumps([after_import, after_startup, loaded()]))
 """
     src = Path(experiment.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    after_import, after_run = json.loads(proc.stdout.splitlines()[-1])
-    assert after_import == []
-    # the run hashes its config for the CSV headers and the manifest
-    assert set(after_run) <= {"hashlib"}
+    after_import, after_startup, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == after_startup == []
+    # the first draw imports numpy.random, whose `secrets` import pulls in
+    # hashlib, so the lazy hashlib import keeps OpenSSL out of start-up only
+    assert after_run == ["hashlib", "numpy.random"]

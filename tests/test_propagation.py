@@ -6,14 +6,13 @@ import pytest
 
 from oracles import atom_position, scalar_coupling
 from simstack.geometry import SimGeometry
-from simstack.propagation import (ForwardOperator, build_w, build_w1,
-                                  coupling_chain, coupling_coefficient,
-                                  radiated_power)
+from simstack.propagation import (ForwardOperator, coupling_chain,
+                                  coupling_coefficient, radiated_power)
 
 
 def test_w1_entries_scalar_oracle(small_geometry):
     g = small_geometry
-    w1 = build_w1(g)
+    w1 = coupling_chain(g)[0]
     assert w1.shape == (2, 16)
     lam = g.wavelength
     sigma = g.array_to_first_layer_wl * lam
@@ -28,7 +27,7 @@ def test_w1_entries_scalar_oracle(small_geometry):
 
 def test_w_ell_entries_scalar_oracle(small_geometry):
     g = small_geometry
-    w2 = build_w(g)
+    w2 = coupling_chain(g)[1]
     assert w2.shape == (16, 16)
     lam = g.wavelength
     s = g.inter_layer_spacing_wl * lam
