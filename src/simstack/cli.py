@@ -64,6 +64,9 @@ def _cmd_run(args, config_path, default_out, trials_default=None):
     except ExperimentError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:            # the result directory cannot be made or written
+        print(f"cannot write results to {out_dir}: {exc}", file=sys.stderr)
+        return 2
     _print_results(summary)
     return 0
 

@@ -3,12 +3,13 @@ the simulation objects a config describes.
 
 All lengths are in carrier wavelengths (suffix _wl, areas _wl2) with the
 carrier frequency given separately, so a config is frequency-portable.
-Validation is strict: unknown keys, wrong types, out-of-range values and
-violated cross-field constraints are rejected with the offending key named.
-The section dataclasses are the schema: each states its fields' names,
-types, defaults and ranges once. The geometry, device, training and
-fitting sections are `geometry.SimGeometry`, `device.DeviceConfig`,
-`training.TrainingConfig` and `design.FitConfig` themselves.
+Validation is strict: unknown keys, wrong types (a boolean is never a
+number, in a list either), out-of-range values and violated cross-field
+constraints are rejected with the offending key named. The section
+dataclasses are the schema: each states its fields' names, types, defaults
+and ranges once. The geometry, device, training and fitting sections are
+`geometry.SimGeometry`, `device.DeviceConfig`, `training.TrainingConfig` and
+`design.FitConfig` themselves.
 """
 
 import json
@@ -21,7 +22,7 @@ import yaml
 
 from .design import FitConfig
 from .device import DeviceConfig
-from .geometry import SimGeometry, _at_least, _positive
+from .geometry import SimGeometry, _at_least, _of_type, _positive
 from .linklevel import MODULATIONS
 from .training import TrainingConfig
 
@@ -50,9 +51,8 @@ class ConfigConstraintError(ConfigError):
     well-formed config."""
 
 
-def _typed(value, types, key):
-    types = types if isinstance(types, tuple) else (types,)
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+def _typed(value, key, *types):
+    if not _of_type(value, *types):
         raise ConfigSchemaError(f"{key}: expected {'/'.join(t.__name__ for t in types)}, "
                                 f"got {type(value).__name__} ({value!r})")
     return value
@@ -62,7 +62,7 @@ def _typed(value, types, key):
 # field(metadata={"read": ...}).
 
 def _methods(value, where):
-    methods = tuple(_typed(v, str, where) for v in value)
+    methods = tuple(_typed(v, where, str) for v in value)
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ConfigSchemaError(f"{where}: unknown methods {bad}; "
@@ -76,12 +76,12 @@ def _curves(value, where):
     out = []
     for i, entry in enumerate(value):
         loc = f"{where}[{i}]"
-        entry = dict(_typed(entry, dict, loc))
-        mod = _typed(entry.pop("modulation", None), str, f"{loc}.modulation")
+        entry = dict(_typed(entry, loc, dict))
+        mod = _typed(entry.pop("modulation", None), f"{loc}.modulation", str)
         if mod not in MODULATIONS:
             raise ConfigSchemaError(f"{loc}.modulation: unknown modulation {mod!r}")
-        grid = _typed(entry.pop("ebn0_db", None), list, f"{loc}.ebn0_db")
-        if not grid or not all(isinstance(v, (int, float)) for v in grid):
+        grid = _typed(entry.pop("ebn0_db", None), f"{loc}.ebn0_db", list)
+        if not grid or not all(_of_type(v, int, float) for v in grid):
             raise ConfigSchemaError(f"{loc}.ebn0_db: expected a nonempty list of numbers")
         if entry:
             raise ConfigSchemaError(f"{loc}: unknown keys {sorted(entry)}")
@@ -176,12 +176,12 @@ def _plain(obj):
 
 def _build_section(raw, section, cls):
     """The dataclass `cls` is the schema: a field without a default is
-    required, `float` takes an int or a float, `int`, `str` and `bool` take
-    exactly their type, and a `tuple` field takes a list that its
-    metadata["read"] reader parses. A ValueError from a reader becomes a
-    ConfigSchemaError, one from the dataclass's range checks a
-    ConfigConstraintError."""
-    raw = dict(_typed(raw, dict, section))
+    required, `float` takes an int or a float (never a boolean, in a list
+    either), `int`, `str` and `bool` take exactly their type, and a `tuple`
+    field takes a list that its metadata["read"] reader parses. A ValueError
+    from a reader becomes a ConfigSchemaError, one from the dataclass's range
+    checks a ConfigConstraintError."""
+    raw = dict(_typed(raw, section, dict))
     kwargs = {}
     for f in fields(cls):
         where = f"{section}.{f.name}"
@@ -192,13 +192,13 @@ def _build_section(raw, section, cls):
         value = raw.pop(f.name)
         if f.type is tuple:
             try:
-                value = f.metadata["read"](_typed(value, list, where), where)
+                value = f.metadata["read"](_typed(value, where, list), where)
             except ValueError as exc:
                 raise ConfigSchemaError(str(exc)) from exc
         elif f.type is float:
-            value = float(_typed(value, (int, float), where))
+            value = float(_typed(value, where, int, float))
         else:
-            value = _typed(value, f.type, where)
+            value = _typed(value, where, f.type)
         kwargs[f.name] = value
     if raw:
         raise ConfigSchemaError(f"{section}: unknown keys {sorted(raw)}")
@@ -244,7 +244,7 @@ def _check_constraints(cfg):
 def parse_config(raw):
     """Validate a mapping into an ExperimentConfig. A section is required
     when its dataclass has a required field."""
-    raw = dict(_typed(raw, dict, "config"))
+    raw = dict(_typed(raw, "config", dict))
     sections = {}
     for f in fields(ExperimentConfig):
         block = raw.pop(f.name, None)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _positive
+from .geometry import _of_type, _positive
 
 LAYER_KINDS = ("pc", "ac")
 
@@ -58,7 +58,7 @@ def _layer_kinds(value, where):
 
 
 def _number_pair(value, where):
-    if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
+    if len(value) != 2 or not all(_of_type(v, int, float) for v in value):
         raise ValueError(f"{where}: expected a pair of numbers")
     return tuple(float(v) for v in value)
 
@@ -75,9 +75,10 @@ class DeviceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_kinds", _layer_kinds(self.layer_kinds, "layer_kinds"))
-        if not -math.inf < self.gain_bounds_db[0] < self.gain_bounds_db[1] < math.inf:
-            raise ValueError(f"gain_bounds_db must be finite and ascending, "
-                             f"got {self.gain_bounds_db}")
+        lo, hi = _number_pair(self.gain_bounds_db, "gain_bounds_db")
+        object.__setattr__(self, "gain_bounds_db", (lo, hi))
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"gain_bounds_db must be finite and ascending, got {(lo, hi)}")
         _positive(self, "pc_amplitude")
 
 

@@ -23,8 +23,12 @@ import numpy as np
 C0 = 3.0e8
 
 
-# Range checks for __post_init__, shared with the other config sections. A
-# ValueError names the key; config parsing prefixes the section.
+# Shared config checks; a ValueError names the key, config parsing adds the section.
+
+def _of_type(value, *types):
+    """isinstance(value, types), but a bool counts only when bool is asked for."""
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
 
 def _positive(section, *keys):
     for key in keys:
@@ -42,8 +46,7 @@ def _at_least(section, low, *keys):
 
 def _int_pair(value, where):
     """Reader and check of `layer_cells`: a list of two positive integers."""
-    if len(value) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
-                                  and v > 0 for v in value):
+    if len(value) != 2 or not all(_of_type(v, int) and v > 0 for v in value):
         raise ValueError(f"{where}: expected a pair of positive integers")
     return tuple(value)
 

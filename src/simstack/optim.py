@@ -40,13 +40,6 @@ class Adam:
 OPTIMIZERS = {"adam": Adam, "sgd": GradientDescent}
 
 
-def make_optimizer(name, step_size):
-    try:
-        return OPTIMIZERS[name](step_size)
-    except KeyError:
-        raise ValueError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}")
-
-
 def minimize(loss_and_grad, x0, optimizer, evaluations, stop):
     """Evaluate `loss_and_grad(x) -> (loss, grad)` at most `evaluations`
     times, stepping x by `optimizer` between evaluations; `stop(losses)`

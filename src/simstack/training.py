@@ -24,7 +24,7 @@ import numpy as np
 from .device import DeviceConfig, SimDevice
 from .geometry import SimGeometry, _at_least, _positive
 from .linklevel import complex_noise, generate_channel, make_constellation
-from .optim import OPTIMIZERS, make_optimizer, minimize
+from .optim import OPTIMIZERS, minimize
 from .precoding import (Precoder, TrainablePrecoder, effective_channel,
                         mmse_precoder, optimal_receiver_scale)
 from .propagation import ForwardOperator, coupling_chain, radiated_power
@@ -140,7 +140,7 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     report = LossReport()
     for step_size in (config.step_size, 0.5 * config.step_size):
         rng.bit_generator.state = start
-        x, _, losses = minimize(loss_and_grad, x0, make_optimizer(config.optimizer, step_size),
+        x, _, losses = minimize(loss_and_grad, x0, OPTIMIZERS[config.optimizer](step_size),
                                 max(config.iterations, 1), diverged)
         if not diverged(losses):
             break

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -94,9 +95,16 @@ class TestValidation:
         with pytest.raises(ConfigSchemaError, match="n_atennas"):
             parse_config(tiny_raw)
 
-    def test_wrong_type(self, tiny_raw):
-        tiny_raw["geometry"]["n_antennas"] = "four"
-        with pytest.raises(ConfigSchemaError, match="n_antennas"):
+    # a boolean is never a number, in a list either
+    @pytest.mark.parametrize("section, key, value, where", [
+        ("geometry", "n_antennas", "four", "geometry.n_antennas"),
+        ("simulation", "curves", [{"modulation": "qpsk", "ebn0_db": [True, 2.0]}],
+         "simulation.curves[0].ebn0_db"),
+        ("device", "gain_bounds_db", [False, True], "device.gain_bounds_db"),
+    ], ids=["n_antennas", "ebn0_db", "gain_bounds_db"])
+    def test_wrong_type(self, tiny_raw, section, key, value, where):
+        tiny_raw[section][key] = value
+        with pytest.raises(ConfigSchemaError, match=re.escape(where)):
             parse_config(tiny_raw)
 
     def test_missing_required_section(self, tiny_raw):
@@ -302,6 +310,20 @@ class TestCli:
         rc = main(["run", str(tmp_path / "nope.yaml"), "--workers", "1",
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["run", "demo"])
+    def test_run_rejects_out_dir_that_is_a_file(self, tmp_path, tiny_config_text, capsys,
+                                                command):
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(tiny_config_text)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = [command] + ([str(cfg_path)] if command == "run" else [])
+        rc = main(args + ["--workers", "1", "--trials", "1", "--out-dir", str(taken)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write results to {taken}: ") and err.count("\n") == 1
+        assert taken.read_text() == ""
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--trials", "0", "simulation.n_trials"),

@@ -78,6 +78,7 @@ def test_constructor_validation():
 @pytest.mark.parametrize("key, value", [
     ("pc_amplitude", -1.0), ("pc_amplitude", np.inf), ("gain_bounds_db", (np.nan, 13.0)),
     ("gain_bounds_db", (-22.0, np.inf)), ("gain_bounds_db", (-np.inf, 13.0)),
+    ("gain_bounds_db", (False, True)), ("gain_bounds_db", (-22.0,)),
 ])
 def test_device_config_rejects(key, value):
     with pytest.raises(ValueError, match=key):

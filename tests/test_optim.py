@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from simstack.optim import Adam, GradientDescent, make_optimizer
+from simstack.optim import OPTIMIZERS, Adam, GradientDescent
 
 
 def test_sgd_step():
@@ -28,7 +27,5 @@ def test_adam_minimizes_quadratic():
 
 
 def test_factory():
-    assert isinstance(make_optimizer("adam", 0.1), Adam)
-    assert isinstance(make_optimizer("sgd", 0.1), GradientDescent)
-    with pytest.raises(ValueError):
-        make_optimizer("newton", 0.1)
+    # train builds OPTIMIZERS[name]; TrainingConfig rejects any other name
+    assert OPTIMIZERS == {"adam": Adam, "sgd": GradientDescent}
