@@ -15,12 +15,10 @@ every trial runs on one BLAS thread; --out-dir picks the result directory.
 import argparse
 import math
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .config import (ConfigConstraintError, ConfigError, bundled_config_path,
-                     dump_config, load_config)
+from .config import ConfigError, bundled_config_path, dump_config, load_config, parse_config
 from .experiment import ExperimentError, read_ber_csv, run_experiment, usable_cpus
 from .training import finite_difference_check
 
@@ -28,12 +26,11 @@ GRADCHECK_TOLERANCE = 1e-5
 
 
 def _apply_overrides(cfg, seed=None, trials=None):
-    changes = {key: value for key, value in (("master_seed", seed), ("n_trials", trials))
-               if value is not None}
-    try:
-        return replace(cfg, simulation=replace(cfg.simulation, **changes))
-    except ValueError as exc:         # the section's range checks
-        raise ConfigConstraintError(f"simulation.{exc}") from exc
+    raw = cfg.to_dict()
+    for key, value in (("master_seed", seed), ("n_trials", trials)):
+        if value is not None:
+            raw["simulation"][key] = value
+    return parse_config(raw)
 
 
 def _print_results(summary):

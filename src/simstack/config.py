@@ -6,10 +6,13 @@ carrier frequency given separately, so a config is frequency-portable.
 Validation is strict: unknown keys, wrong types (a boolean is never a
 number, in a list either), out-of-range values and violated cross-field
 constraints are rejected with the offending key named. The section
-dataclasses are the schema: each states its fields' names, types, defaults
-and ranges once. The geometry, device, training and fitting sections are
-`geometry.SimGeometry`, `device.DeviceConfig`, `training.TrainingConfig` and
-`design.FitConfig` themselves.
+dataclasses are the schema and the one place a value is checked: each states
+its fields' names, types, defaults and ranges once and checks them on
+construction, and `ExperimentConfig` checks the rules that span sections. So
+a config built or `replace`d in code is checked exactly as a loaded one; the
+loader only maps keys onto constructors and errors onto config errors. The
+geometry, device, training and fitting sections are `geometry.SimGeometry`,
+`device.DeviceConfig`, `training.TrainingConfig` and `design.FitConfig`.
 """
 
 import json
@@ -22,7 +25,8 @@ import yaml
 
 from .design import FitConfig
 from .device import DeviceConfig
-from .geometry import SimGeometry, _at_least, _of_type, _positive
+from .geometry import (SchemaError, SimGeometry, _at_least, _check_fields, _names,
+                       _positive, _typed)
 from .linklevel import MODULATIONS
 from .training import TrainingConfig
 
@@ -51,43 +55,27 @@ class ConfigConstraintError(ConfigError):
     well-formed config."""
 
 
-def _typed(value, key, *types):
-    if not _of_type(value, *types):
-        raise ConfigSchemaError(f"{key}: expected {'/'.join(t.__name__ for t in types)}, "
-                                f"got {type(value).__name__} ({value!r})")
-    return value
-
-
-# Readers of the list-valued keys; each tuple field names its own in
-# field(metadata={"read": ...}).
-
-def _methods(value, where):
-    methods = tuple(_typed(v, where, str) for v in value)
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        raise ConfigSchemaError(f"{where}: unknown methods {bad}; "
-                                f"choose from {list(METHODS)}")
-    if not methods:
-        raise ConfigSchemaError(f"{where}: at least one method required")
-    return methods
-
+# Reader of `curves`; each tuple field names its reader in
+# field(metadata={"read": ...}), and a SchemaError names the key.
 
 def _curves(value, where):
     out = []
     for i, entry in enumerate(value):
         loc = f"{where}[{i}]"
-        entry = dict(_typed(entry, loc, dict))
+        # `replace` passes the parsed CurveSpecs back in
+        entry = dict(vars(entry) if isinstance(entry, CurveSpec) else _typed(entry, loc, dict))
         mod = _typed(entry.pop("modulation", None), f"{loc}.modulation", str)
         if mod not in MODULATIONS:
-            raise ConfigSchemaError(f"{loc}.modulation: unknown modulation {mod!r}")
-        grid = _typed(entry.pop("ebn0_db", None), f"{loc}.ebn0_db", list)
-        if not grid or not all(_of_type(v, int, float) for v in grid):
-            raise ConfigSchemaError(f"{loc}.ebn0_db: expected a nonempty list of numbers")
+            raise SchemaError(f"{loc}.modulation: unknown modulation {mod!r}")
+        grid = _typed(entry.pop("ebn0_db", None), f"{loc}.ebn0_db", list, tuple)
+        if not grid:
+            raise SchemaError(f"{loc}.ebn0_db: expected a nonempty list of numbers")
         if entry:
-            raise ConfigSchemaError(f"{loc}: unknown keys {sorted(entry)}")
-        out.append(CurveSpec(mod, tuple(float(v) for v in grid)))
+            raise SchemaError(f"{loc}: unknown keys {sorted(entry)}")
+        out.append(CurveSpec(mod, tuple(float(_typed(v, f"{loc}.ebn0_db", int, float))
+                                        for v in grid)))
     if not out:
-        raise ConfigSchemaError(f"{where}: at least one curve required")
+        raise SchemaError(f"{where}: at least one curve required")
     return tuple(out)
 
 
@@ -109,12 +97,13 @@ class SimulationSection:
     bits_per_user: int = 1000
     n_trials: int = 100
     master_seed: int = 0
-    methods: tuple = field(default=METHODS, metadata={"read": _methods})
+    methods: tuple = field(default=METHODS, metadata={"read": _names(METHODS, "methods")})
     max_failed_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.total_power is None:
-            object.__setattr__(self, "total_power", float(self.n_users))
+        if self.total_power is None:      # omitted: n_users, stored as a float below
+            object.__setattr__(self, "total_power", self.n_users)
+        _check_fields(self)
         _at_least(self, 1, "n_users", "bits_per_user", "n_trials")
         _at_least(self, 0, "master_seed")
         _positive(self, "total_power")
@@ -130,6 +119,7 @@ class OutputSection:
     snapshots: bool = False
 
     def __post_init__(self):
+        _check_fields(self)
         # both name files inside the result directory
         if _has_separator(self.csv_prefix):
             raise ValueError(f"csv_prefix must not contain a path separator, "
@@ -147,8 +137,40 @@ class ExperimentConfig:
     simulation: SimulationSection
     output: OutputSection
 
+    def __post_init__(self):
+        g, d, s = self.geometry, self.device, self.simulation
+        if len(d.layer_kinds) != g.n_layers:
+            raise ConfigConstraintError(
+                f"device.layer_kinds has {len(d.layer_kinds)} entries but "
+                f"geometry.n_layers = {g.n_layers}")
+        if not (g.n_cells >= g.n_antennas >= s.n_users):
+            raise ConfigConstraintError(
+                f"need layer cells >= geometry.n_antennas >= simulation.n_users, "
+                f"got {g.n_cells} >= {g.n_antennas} >= {s.n_users}")
+        if self.training.pilot_symbols < s.n_users:
+            raise ConfigConstraintError(
+                f"training.pilot_symbols = {self.training.pilot_symbols} is fewer than "
+                f"simulation.n_users = {s.n_users}")
+        o = self.output
+        taken = list(self.csv_names().values()) + ([SNAPSHOT_DIR] if o.snapshots else [])
+        if o.manifest in taken:
+            raise ConfigConstraintError(f"output.manifest = {o.manifest!r} names another "
+                                        f"output of the result directory")
+        seen = set()     # a trial counts each (modulation, Eb/N0) point once
+        for i, curve in enumerate(s.curves):
+            bps = int(math.log2(MODULATIONS[curve.modulation]))
+            if s.bits_per_user % bps:
+                raise ConfigConstraintError(
+                    f"simulation.bits_per_user = {s.bits_per_user} does not pack into "
+                    f"{bps}-bit symbols of simulation.curves[{i}] ({curve.modulation})")
+            for ebn0 in curve.ebn0_db:
+                if not math.isfinite(ebn0) or (curve.modulation, ebn0) in seen:
+                    raise ConfigConstraintError(f"simulation.curves[{i}].ebn0_db: {ebn0} is not "
+                                                f"finite or repeats a {curve.modulation} point")
+                seen.add((curve.modulation, ebn0))
+
     def to_dict(self):
-        return _plain(asdict(self))
+        return json.loads(json.dumps(asdict(self)))      # tuples become lists
 
     def csv_names(self):
         """Result CSV file name per modulation, in curve order."""
@@ -165,86 +187,42 @@ class ExperimentConfig:
         return self.geometry
 
 
-def _plain(obj):
-    """Tuples to lists, recursively, for YAML/JSON serialization."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
+def _mapping(raw, where):
+    try:
+        return dict(_typed(raw, where, dict))
+    except SchemaError as exc:
+        raise ConfigSchemaError(str(exc)) from exc
 
 
 def _build_section(raw, section, cls):
-    """The dataclass `cls` is the schema: a field without a default is
-    required, `float` takes an int or a float (never a boolean, in a list
-    either), `int`, `str` and `bool` take exactly their type, and a `tuple`
-    field takes a list that its metadata["read"] reader parses. A ValueError
-    from a reader becomes a ConfigSchemaError, one from the dataclass's range
-    checks a ConfigConstraintError."""
-    raw = dict(_typed(raw, section, dict))
+    """Map one section's keys onto its dataclass `cls`, whose constructor
+    checks every value. A field without a default is required; an unknown key
+    or a null is rejected. The constructor's SchemaError becomes a
+    ConfigSchemaError, any other ValueError a ConfigConstraintError."""
+    raw = _mapping(raw, section)
     kwargs = {}
     for f in fields(cls):
         where = f"{section}.{f.name}"
-        if f.name not in raw:
-            if f.default is MISSING:
-                raise ConfigSchemaError(f"{where}: required key missing")
-            continue
-        value = raw.pop(f.name)
-        if f.type is tuple:
-            try:
-                value = f.metadata["read"](_typed(value, where, list), where)
-            except ValueError as exc:
-                raise ConfigSchemaError(str(exc)) from exc
-        elif f.type is float:
-            value = float(_typed(value, where, int, float))
-        else:
-            value = _typed(value, where, f.type)
-        kwargs[f.name] = value
+        if f.name in raw:
+            kwargs[f.name] = raw.pop(f.name)
+            if kwargs[f.name] is None:
+                raise ConfigSchemaError(f"{where}: null is not a value; omit the key instead")
+        elif f.default is MISSING:
+            raise ConfigSchemaError(f"{where}: required key missing")
     if raw:
         raise ConfigSchemaError(f"{section}: unknown keys {sorted(raw)}")
     try:
         return cls(**kwargs)
+    except SchemaError as exc:
+        raise ConfigSchemaError(f"{section}.{exc}") from exc
     except ValueError as exc:
         raise ConfigConstraintError(f"{section}.{exc}") from exc
 
 
-def _check_constraints(cfg):
-    g, d, s = cfg.geometry, cfg.device, cfg.simulation
-    if len(d.layer_kinds) != g.n_layers:
-        raise ConfigConstraintError(
-            f"device.layer_kinds has {len(d.layer_kinds)} entries but "
-            f"geometry.n_layers = {g.n_layers}")
-    if not (g.n_cells >= g.n_antennas >= s.n_users):
-        raise ConfigConstraintError(
-            f"need layer cells >= geometry.n_antennas >= simulation.n_users, "
-            f"got {g.n_cells} >= {g.n_antennas} >= {s.n_users}")
-    if cfg.training.pilot_symbols < s.n_users:
-        raise ConfigConstraintError(
-            f"training.pilot_symbols = {cfg.training.pilot_symbols} is fewer than "
-            f"simulation.n_users = {s.n_users}")
-    o = cfg.output
-    taken = list(cfg.csv_names().values()) + ([SNAPSHOT_DIR] if o.snapshots else [])
-    if o.manifest in taken:
-        raise ConfigConstraintError(f"output.manifest = {o.manifest!r} names another "
-                                    f"output of the result directory")
-    seen = set()     # a trial counts each (modulation, Eb/N0) point once
-    for i, curve in enumerate(s.curves):
-        bps = int(math.log2(MODULATIONS[curve.modulation]))
-        if s.bits_per_user % bps:
-            raise ConfigConstraintError(
-                f"simulation.bits_per_user = {s.bits_per_user} does not pack into "
-                f"{bps}-bit symbols of simulation.curves[{i}] ({curve.modulation})")
-        for ebn0 in curve.ebn0_db:
-            if not math.isfinite(ebn0) or (curve.modulation, ebn0) in seen:
-                raise ConfigConstraintError(f"simulation.curves[{i}].ebn0_db: {ebn0} is not "
-                                            f"finite or repeats a {curve.modulation} point")
-            seen.add((curve.modulation, ebn0))
-
-
 def parse_config(raw):
-    """Validate a mapping into an ExperimentConfig. A section is required
-    when its dataclass has a required field."""
-    raw = dict(_typed(raw, "config", dict))
+    """Map a mapping onto an ExperimentConfig, which checks it. A section is
+    required when its dataclass has a required field."""
+    raw = _mapping(raw, "config")
     sections = {}
     for f in fields(ExperimentConfig):
         block = raw.pop(f.name, None)
@@ -255,9 +233,7 @@ def parse_config(raw):
         sections[f.name] = _build_section(block, f.name, f.type)
     if raw:
         raise ConfigSchemaError(f"config: unknown sections {sorted(raw)}")
-    cfg = ExperimentConfig(**sections)
-    _check_constraints(cfg)
-    return cfg
+    return ExperimentConfig(**sections)
 
 
 def load_config(path):

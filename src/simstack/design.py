@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _at_least, _positive
+from .geometry import _at_least, _check_fields, _positive
 from .optim import Adam, minimize
 from .propagation import ForwardOperator
 
@@ -50,6 +50,7 @@ class FitConfig:
     tolerance: float = 1e-3
 
     def __post_init__(self):
+        _check_fields(self)
         _at_least(self, 0, "iterations", "tolerance")
         _positive(self, "step_size")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _of_type, _positive
+from .geometry import SchemaError, _check_fields, _names, _positive, _typed
 
 LAYER_KINDS = ("pc", "ac")
 
@@ -48,19 +48,11 @@ def _logit(p):
     return math.log(p / (1.0 - p))
 
 
-# Config readers of the list-valued keys; a ValueError names the key.
-
-def _layer_kinds(value, where):
-    bad = [k for k in value if k not in LAYER_KINDS]
-    if bad:
-        raise ValueError(f"{where}: unknown layer kinds {bad}")
-    return tuple(value)
-
-
 def _number_pair(value, where):
-    if len(value) != 2 or not all(_of_type(v, int, float) for v in value):
-        raise ValueError(f"{where}: expected a pair of numbers")
-    return tuple(float(v) for v in value)
+    """Config reader of `gain_bounds_db`."""
+    if len(value) != 2:
+        raise SchemaError(f"{where}: expected a pair of numbers")
+    return tuple(float(_typed(v, where, int, float)) for v in value)
 
 
 @dataclass(frozen=True)
@@ -69,14 +61,13 @@ class DeviceConfig:
     atom in dB and the amplitude of a pc atom; also the `device` section of
     a config."""
 
-    layer_kinds: tuple = field(metadata={"read": _layer_kinds})
+    layer_kinds: tuple = field(metadata={"read": _names(LAYER_KINDS, "layer kinds")})
     gain_bounds_db: tuple = field(default=(-22.0, 13.0), metadata={"read": _number_pair})
     pc_amplitude: float = 0.9
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_kinds", _layer_kinds(self.layer_kinds, "layer_kinds"))
-        lo, hi = _number_pair(self.gain_bounds_db, "gain_bounds_db")
-        object.__setattr__(self, "gain_bounds_db", (lo, hi))
+        _check_fields(self)
+        lo, hi = self.gain_bounds_db
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"gain_bounds_db must be finite and ascending, got {(lo, hi)}")
         _positive(self, "pc_amplitude")

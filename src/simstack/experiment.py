@@ -14,6 +14,7 @@ same transmitted blocks per point.
 """
 
 import contextlib
+import copy
 import ctypes
 import functools
 import json
@@ -62,7 +63,7 @@ def run_trial(cfg, index, trial_seed):
     ws = coupling_chain(geometry)
     k, n = sim.n_users, geometry.n_antennas
     points = _points(cfg)
-    streams = trial_seed.spawn(3 + 2 * len(points))
+    streams = copy.copy(trial_seed).spawn(3 + 2 * len(points))    # trial_seed stays as given
 
     h = generate_channel(geometry.n_cells, k, np.random.default_rng(streams[0]))
     h_direct = generate_channel(n, k, np.random.default_rng(streams[1]))

@@ -14,7 +14,7 @@ config. Positions (`antenna_xy`, `atom_xy`) come out in meters, and the
 coupling matrices convert the axial spacings and areas themselves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import math
 
 import numpy as np
@@ -25,9 +25,39 @@ C0 = 3.0e8
 
 # Shared config checks; a ValueError names the key, config parsing adds the section.
 
-def _of_type(value, *types):
-    """isinstance(value, types), but a bool counts only when bool is asked for."""
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+class SchemaError(ValueError):
+    """A config value of the wrong type or shape; the message names the key."""
+
+
+def _typed(value, key, *types):
+    """`value` if isinstance(value, types), where a bool counts only when bool is asked for."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise SchemaError(f"{key}: expected {'/'.join(t.__name__ for t in types)}, "
+                          f"got {type(value).__name__} ({value!r})")
+    return value
+
+
+def _names(choices, what):
+    """Reader of a nonempty list of names, each one of `choices`."""
+    def read(value, where):
+        if not value or any(v not in choices for v in value):
+            raise SchemaError(f"{where}: expected {what} from {list(choices)}, got {list(value)}")
+        return tuple(value)
+    return read
+
+
+def _check_fields(section):
+    """Check and store each field of the dataclass `section` by its annotation:
+    float takes an int or a float and stores a float; int, str and bool take
+    exactly their type; tuple takes a list or a tuple, parsed by the field's
+    metadata["read"] reader. Every config section's __post_init__ calls this."""
+    for f in fields(section):
+        key, value = f.name, getattr(section, f.name)
+        if f.type is tuple:
+            value = f.metadata["read"](_typed(value, key, list, tuple), key)
+        else:
+            value = f.type(_typed(value, key, *{float: (int, float)}.get(f.type, (f.type,))))
+        object.__setattr__(section, key, value)
 
 
 def _positive(section, *keys):
@@ -45,9 +75,8 @@ def _at_least(section, low, *keys):
 
 
 def _int_pair(value, where):
-    """Reader and check of `layer_cells`: a list of two positive integers."""
-    if len(value) != 2 or not all(_of_type(v, int) and v > 0 for v in value):
-        raise ValueError(f"{where}: expected a pair of positive integers")
+    if len(value) != 2 or not all(type(v) is int and v > 0 for v in value):
+        raise SchemaError(f"{where}: expected a pair of positive integers")
     return tuple(value)
 
 
@@ -88,8 +117,8 @@ class SimGeometry:
     meta_atom_area_wl2: float = 0.25
 
     def __post_init__(self):
+        _check_fields(self)
         _at_least(self, 1, "n_antennas", "n_layers")
-        object.__setattr__(self, "layer_cells", _int_pair(self.layer_cells, "layer_cells"))
         _positive(self, "carrier_frequency_hz", "antenna_spacing_wl",
                   "array_to_first_layer_wl", "inter_layer_spacing_wl", "cell_spacing_wl",
                   "antenna_area_wl2", "meta_atom_area_wl2")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import DeviceConfig, SimDevice
-from .geometry import SimGeometry, _at_least, _positive
+from .geometry import SimGeometry, _at_least, _check_fields, _positive
 from .linklevel import complex_noise, generate_channel, make_constellation
 from .optim import OPTIMIZERS, minimize
 from .precoding import (Precoder, TrainablePrecoder, effective_channel,
@@ -36,12 +36,17 @@ class TrainingDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainingConfig:
+    """`iterations` counts loss evaluations, not steps: `train` evaluates at
+    most max(iterations, 1) times, one optimizer step between two, whereas
+    FitConfig.iterations counts steps. Also the `training` section of a config."""
+
     pilot_symbols: int = 100
     iterations: int = 500
     step_size: float = 1e-2
     optimizer: str = "adam"
 
     def __post_init__(self):
+        _check_fields(self)
         _at_least(self, 1, "pilot_symbols")
         _at_least(self, 0, "iterations")
         _positive(self, "step_size")

@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -263,6 +263,44 @@ class TestSchema:
         assert list(dumped) == [f.name for f in fields(ExperimentConfig)]
         for section in fields(ExperimentConfig):
             assert list(dumped[section.name]) == [f.name for f in fields(section.type)]
+
+
+class TestBuiltInCode:
+    """A config built or replaced in code is checked exactly as loading checks it."""
+
+    @pytest.mark.parametrize("build, error, key", [
+        (lambda c: replace(c, simulation=replace(c.simulation, methods=("no_sim", "bogus"))),
+         ValueError, "methods"),
+        (lambda c: replace(c, simulation=replace(c.simulation, bits_per_user=1001)),
+         ConfigConstraintError, "simulation.bits_per_user"),
+        (lambda c: replace(c, device=replace(c.device, layer_kinds=("pc",) * 3)),
+         ConfigConstraintError, "device.layer_kinds"),
+        (lambda c: replace(c, simulation=replace(c.simulation, n_users=5)),
+         ConfigConstraintError, "simulation.n_users"),
+        (lambda c: SimGeometry(4, 2, 12, 3e8), ValueError, "layer_cells"),
+        (lambda c: DeviceConfig(["pc"], gain_bounds_db=13.0), ValueError, "gain_bounds_db"),
+    ], ids=["methods", "bits_per_user", "layer_kinds", "n_users", "layer_cells",
+            "gain_bounds_db"])
+    def test_rejected_at_construction(self, tiny_config, build, error, key):
+        with pytest.raises(error, match=re.escape(key)):
+            build(tiny_config)
+
+    def test_int_for_float_stores_a_float(self, tiny_config, tiny_raw):
+        geometry = replace(tiny_config.geometry, antenna_spacing_wl=1)
+        assert type(geometry.antenna_spacing_wl) is float
+        tiny_raw["geometry"]["antenna_spacing_wl"] = 1.0
+        assert replace(tiny_config, geometry=geometry).sha256() == \
+            parse_config(tiny_raw).sha256()
+
+    # a null is not a value, not even where omitting the key takes a default
+    @pytest.mark.parametrize("section, key", [
+        ("simulation", "total_power"), ("simulation", "n_users"),
+        ("device", "gain_bounds_db"), ("output", "snapshots"),
+    ])
+    def test_explicit_null_rejected(self, tiny_raw, section, key):
+        tiny_raw.setdefault(section, {})[key] = None
+        with pytest.raises(ConfigSchemaError, match=re.escape(f"{section}.{key}")):
+            parse_config(tiny_raw)
 
 
 class TestRoundTrip:

@@ -38,6 +38,15 @@ class TestRunTrial:
         assert a.counts == b.counts
         assert a.fit_residual == b.fit_residual
 
+    def test_reuses_its_seed_unchanged(self, tiny_config):
+        # run_trial derives its streams without spawning from the caller's seed
+        seed = _seed(5)[0]
+        a = run_trial(tiny_config, 0, seed)
+        b = run_trial(tiny_config, 0, seed)
+        assert seed.n_children_spawned == 0
+        assert a.counts == b.counts
+        assert a.fit_residual == b.fit_residual
+
     def test_seed_sensitivity(self, tiny_config):
         a = run_trial(tiny_config, 0, _seed(5)[0])
         b = run_trial(tiny_config, 0, _seed(6)[0])
