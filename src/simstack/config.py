@@ -9,14 +9,18 @@ constraints are rejected with the offending key named. The section
 dataclasses are the schema and the one place a value is checked: each states
 its fields' names, types, defaults and ranges once and checks them on
 construction, and `ExperimentConfig` checks the rules that span sections. So
-a config built or `replace`d in code is checked exactly as a loaded one; the
-loader only maps keys onto constructors and errors onto config errors. The
-geometry, device, training and fitting sections are `geometry.SimGeometry`,
+a config built or `replace`d in code is checked exactly as a loaded one. The
+loader maps keys onto constructors and errors onto config errors, by four
+rules: a missing section is an empty one, null is never a value (nor a
+section), a key may appear once in a mapping, and a number must fit a float.
+Any YAML that is not a config raises a ConfigError naming its section or key.
+The geometry, device, training and fitting sections are `geometry.SimGeometry`,
 `device.DeviceConfig`, `training.TrainingConfig` and `design.FitConfig`.
 """
 
 import json
 import math
+from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -25,8 +29,8 @@ import yaml
 
 from .design import FitConfig
 from .device import DeviceConfig
-from .geometry import (SchemaError, SimGeometry, _at_least, _check_fields, _names,
-                       _positive, _typed)
+from .geometry import (SchemaError, SimGeometry, _at_least, _check_fields, _float,
+                       _names, _positive, _typed)
 from .linklevel import MODULATIONS
 from .training import TrainingConfig
 
@@ -71,9 +75,8 @@ def _curves(value, where):
         if not grid:
             raise SchemaError(f"{loc}.ebn0_db: expected a nonempty list of numbers")
         if entry:
-            raise SchemaError(f"{loc}: unknown keys {sorted(entry)}")
-        out.append(CurveSpec(mod, tuple(float(_typed(v, f"{loc}.ebn0_db", int, float))
-                                        for v in grid)))
+            raise SchemaError(f"{loc}: unknown keys {sorted(entry, key=str)}")
+        out.append(CurveSpec(mod, tuple(_float(v, f"{loc}.ebn0_db") for v in grid)))
     if not out:
         raise SchemaError(f"{where}: at least one curve required")
     return tuple(out)
@@ -210,7 +213,7 @@ def _build_section(raw, section, cls):
         elif f.default is MISSING:
             raise ConfigSchemaError(f"{where}: required key missing")
     if raw:
-        raise ConfigSchemaError(f"{section}: unknown keys {sorted(raw)}")
+        raise ConfigSchemaError(f"{section}: unknown keys {sorted(raw, key=str)}")
     try:
         return cls(**kwargs)
     except SchemaError as exc:
@@ -220,33 +223,53 @@ def _build_section(raw, section, cls):
 
 
 def parse_config(raw):
-    """Map a mapping onto an ExperimentConfig, which checks it. A section is
-    required when its dataclass has a required field."""
+    """Map a mapping onto an ExperimentConfig, which checks it. A missing
+    section is an empty one, so its required keys are reported by name."""
     raw = _mapping(raw, "config")
-    sections = {}
-    for f in fields(ExperimentConfig):
-        block = raw.pop(f.name, None)
-        if block is None:
-            if any(g.default is MISSING for g in fields(f.type)):
-                raise ConfigSchemaError(f"{f.name}: required section missing")
-            block = {}
-        sections[f.name] = _build_section(block, f.name, f.type)
+    sections = {f.name: _build_section(raw.pop(f.name, {}), f.name, f.type)
+                for f in fields(ExperimentConfig)}
     if raw:
-        raise ConfigSchemaError(f"config: unknown sections {sorted(raw)}")
+        raise ConfigSchemaError(f"config: unknown sections {sorted(raw, key=str)}")
     return ExperimentConfig(**sections)
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a key may appear once in a mapping
+    and a value it cannot build (an integer past Python's 4300-digit limit)
+    names its key. Keys merged in with `<<` still give way to the mapping's
+    own. Values are built depth first, so a key also names a bad list item."""
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):     # else SafeLoader raises
+            seen = set()
+            for key_node, value_node in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node)
+                if isinstance(key, Hashable):      # else SafeLoader raises
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                    seen.add(key)
+                try:
+                    self.construct_object(value_node, deep=True)
+                except ValueError as exc:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"{key!r}: {exc}", value_node.start_mark) from exc
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path):
-    """Load and validate a YAML experiment config."""
+    """Load and validate a YAML experiment config; any failure is a one-line ConfigError."""
     path = Path(path)
     try:
-        text = path.read_text()
+        with path.open("rb") as stream:
+            raw = yaml.load(stream, _Loader)
     except OSError as exc:
         raise ConfigFileError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigSchemaError(f"{path} is not valid YAML: {exc}") from exc
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ConfigSchemaError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") \
+            from exc
     if raw is None:
         raise ConfigSchemaError(f"{path}: empty config (geometry section required)")
     return parse_config(raw)

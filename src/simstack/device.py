@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SchemaError, _check_fields, _names, _positive, _typed
+from .geometry import SchemaError, _check_fields, _float, _names, _positive
 
 LAYER_KINDS = ("pc", "ac")
 
@@ -52,7 +52,7 @@ def _number_pair(value, where):
     """Config reader of `gain_bounds_db`."""
     if len(value) != 2:
         raise SchemaError(f"{where}: expected a pair of numbers")
-    return tuple(float(_typed(v, where, int, float)) for v in value)
+    return tuple(_float(v, where) for v in value)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,14 @@ def _typed(value, key, *types):
     return value
 
 
+def _float(value, key):
+    """An int or a float, as a float; an int too large for a float is a SchemaError."""
+    try:
+        return float(_typed(value, key, int, float))
+    except OverflowError:
+        raise SchemaError(f"{key}: integer too large for a float") from None
+
+
 def _names(choices, what):
     """Reader of a nonempty list of names, each one of `choices`."""
     def read(value, where):
@@ -56,7 +64,7 @@ def _check_fields(section):
         if f.type is tuple:
             value = f.metadata["read"](_typed(value, key, list, tuple), key)
         else:
-            value = f.type(_typed(value, key, *{float: (int, float)}.get(f.type, (f.type,))))
+            value = _float(value, key) if f.type is float else _typed(value, key, f.type)
         object.__setattr__(section, key, value)
 
 

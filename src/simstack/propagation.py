@@ -43,10 +43,10 @@ def coupling_coefficient(distance, axial, area, wavelength):
 
 @lru_cache(maxsize=8)
 def coupling_chain(geometry):
-    """[W1] + [W] * (L-1) for a geometry, the one W object repeated: W1 (N x Q)
+    """(W1,) + (W,) * (L-1) for a geometry, the one W object repeated: W1 (N x Q)
     couples the antennas to layer 1 and W (Q x Q) any two adjacent layers.
-    Cached because the chain is reused across all trials, so both matrices
-    are read-only."""
+    Cached because the chain is reused across all trials, so it is a tuple
+    and both matrices are read-only."""
     lam = geometry.wavelength
     atoms = geometry.atom_xy()
 
@@ -60,7 +60,7 @@ def coupling_chain(geometry):
     w1 = couple(geometry.antenna_xy(), geometry.array_to_first_layer_wl,
                 geometry.antenna_area_wl2)
     w = couple(atoms, geometry.inter_layer_spacing_wl, geometry.meta_atom_area_wl2)
-    return [w1] + [w] * (geometry.n_layers - 1)
+    return (w1,) + (w,) * (geometry.n_layers - 1)
 
 
 def propagate(w, taus, left, right):
@@ -97,7 +97,7 @@ class ForwardOperator:
         want = (len(w_list), w_list[0].shape[1])
         if taus.shape != want:
             raise ValueError(f"tau state has shape {taus.shape}, the chain needs {want}")
-        self.w_list = list(w_list)
+        self.w_list = w_list
         self.taus = taus
         n = w_list[0].shape[0]
         z = propagate(w_list[-1], taus, w_list[0],

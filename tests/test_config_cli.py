@@ -7,10 +7,11 @@ from dataclasses import fields, replace
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from simstack import cli
 from simstack.cli import bundled_config_path, main
-from simstack.config import (ConfigConstraintError, ConfigFileError,
+from simstack.config import (ConfigConstraintError, ConfigError, ConfigFileError,
                              ConfigSchemaError, CurveSpec, ExperimentConfig,
                              OutputSection, SimulationSection, dump_config,
                              load_config, parse_config)
@@ -239,6 +240,86 @@ class TestValidation:
         tiny_raw["simulation"]["curves"].append({"modulation": "qam16", "ebn0_db": [4.0]})
         assert parse_config(tiny_raw).csv_names() == {"qpsk": "res_qpsk.csv",
                                                       "qam16": "res_qam16.csv"}
+
+    # each edit of the tiny config's text, and the section or key its error names
+    @pytest.mark.parametrize("old, new, where", [
+        ("device:\n", "output:\ndevice:\n", "output: expected dict"),
+        ("3.0e+8", "1" + "0" * 400, "geometry.carrier_frequency_hz"),
+        ("[4.0]", "[1" + "0" * 400 + "]", "simulation.curves[0].ebn0_db"),
+        ("[ac, pc]", "[ac, pc]\n  gain_bounds_db: [-1, 1" + "0" * 400 + "]",
+         "device.gain_bounds_db"),
+        ("[ac, pc]", "[ac, pc]\n  foo: 1\n  2: 3", "device: unknown keys [2, 'foo']"),
+        ("device:", "foo: 1\n2: 3\ndevice:", "config: unknown sections [2, 'foo']"),
+        ("[4.0]", "[4.0]\n      foo: 1\n      2: 3",
+         "simulation.curves[0]: unknown keys [2, 'foo']"),
+        ("master_seed: 7", "master_seed: 1" + "0" * 4400, "'master_seed': Exceeds the limit"),
+        ("[4.0]", "[1" + "0" * 4400 + "]", "'ebn0_db': Exceeds the limit"),
+        ("n_trials: 2", "n_trials: 100\n  n_trials: 3", "duplicate key 'n_trials'"),
+    ], ids=["null_section", "huge_float", "huge_ebn0_db", "huge_gain_bounds_db",
+            "mixed_unknown_keys", "mixed_unknown_sections", "mixed_curve_keys",
+            "long_int", "long_int_in_list", "duplicate_key"])
+    def test_malformed_text_names_its_key(self, tmp_path, capsys, tiny_config_text,
+                                          old, new, where):
+        p = tmp_path / "bad.yaml"
+        p.write_text(tiny_config_text.replace(old, new, 1))
+        with pytest.raises(ConfigSchemaError, match=re.escape(where)):
+            load_config(p)
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and where in err
+
+    def test_duplicate_key_names_its_line(self, tmp_path, tiny_config_text):
+        p = tmp_path / "bad.yaml"
+        p.write_text(tiny_config_text.replace("  n_users: 2\n", "  n_users: 2\n  n_users: 2\n"))
+        line = p.read_text().splitlines().index("  n_users: 2") + 2
+        with pytest.raises(ConfigSchemaError, match=f"duplicate key 'n_users'.* line {line},"):
+            load_config(p)
+
+    def test_merge_key_keeps_its_override(self, tmp_path, tiny_config_text):
+        p = tmp_path / "merge.yaml"
+        p.write_text(tiny_config_text.replace(
+            "    - modulation: qpsk\n", "    - &qpsk\n      modulation: qpsk\n") +
+            "    - <<: *qpsk\n      modulation: qam16\n")
+        assert load_config(p).simulation.curves == (CurveSpec("qpsk", (4.0,)),
+                                                     CurveSpec("qam16", (4.0,)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("geometry:\n  ? [a, b]\n  : 1\n", "found unhashable key"),
+        (b"geometry:\n  n_antennas: \xff\n", "invalid start byte"),
+        ("[" * 3000, "recursion"),
+    ], ids=["unhashable_key", "not_utf8", "deep_nesting"])
+    def test_unparsable_file(self, tmp_path, text, message):
+        p = tmp_path / "bad.yaml"
+        (p.write_bytes if isinstance(text, bytes) else p.write_text)(text)
+        with pytest.raises(ConfigSchemaError, match=message):
+            load_config(p)
+
+
+# Any value in place of one to three sections, keys or curve fields of the
+# tiny config: parse_config returns a config or raises a ConfigError.
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.integers(2 ** 1024, 10 ** 400), st.integers(-10 ** 400, -2 ** 1024),
+                     st.text(max_size=4))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.one_of(st.text(max_size=4), st.integers(), st.none()), inner, max_size=3), max_leaves=6)
+_PATHS = ([(f.name,) for f in fields(ExperimentConfig)]
+          + [(f.name, g.name) for f in fields(ExperimentConfig) for g in fields(f.type)]
+          + [("simulation", "curves", 0, key) for key in ("modulation", "ebn0_db")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(_PATHS), _VALUES), min_size=1, max_size=3))
+def test_parse_config_only_raises_config_errors(tiny_config_text, edits):
+    raw = yaml.safe_load(tiny_config_text)
+    for path, value in sorted(edits, key=lambda e: -len(e[0])):   # deepest first
+        node = raw
+        for step in path[:-1]:
+            node = node.setdefault(step, {}) if isinstance(node, dict) else node[step]
+        node[path[-1]] = value
+    try:
+        assert isinstance(parse_config(raw), ExperimentConfig)
+    except ConfigError:
+        pass
 
 
 class TestSchema:

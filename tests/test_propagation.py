@@ -88,6 +88,8 @@ def test_cached_chain_is_read_only(small_geometry):
     with pytest.raises(ValueError):
         ws[1][0, 0] = 0.0
     assert not any(w.flags.writeable for w in ws)
+    with pytest.raises(TypeError):
+        ws[0] = ws[0]
 
 
 def _random_taus(chain, rng):
