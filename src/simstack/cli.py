@@ -44,18 +44,17 @@ def _print_results(summary):
         print(f"note: {summary['n_failed']} trial(s) failed and were excluded")
 
 
-def _cmd_run(args, config_path, default_out, trials_default=None):
+def _cmd_run(args):
     if args.workers < 1:
         print(f"usage error: --workers must be at least 1, got {args.workers}",
               file=sys.stderr)
         return 2
-    trials = args.trials if args.trials is not None else trials_default
     try:
-        cfg = _apply_overrides(load_config(config_path), seed=args.seed, trials=trials)
+        cfg = _apply_overrides(load_config(args.config), seed=args.seed, trials=args.trials)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out_dir or default_out
+    out_dir = args.out_dir or f"runs/{Path(args.config).stem}"
     try:
         summary = run_experiment(cfg, out_dir, workers=args.workers)
     except ExperimentError as exc:
@@ -66,6 +65,12 @@ def _cmd_run(args, config_path, default_out, trials_default=None):
         return 2
     _print_results(summary)
     return 0
+
+
+def _cmd_demo(args):
+    with resources.as_file(bundled_config_path()) as path:
+        args.config = path
+        return _cmd_run(args)
 
 
 def _cmd_validate(args):
@@ -106,7 +111,7 @@ def main(argv=None):
                     "metasurface: BER experiments, synthesis, training.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, handler=_cmd_run, **defaults):
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--workers", type=int, default=usable_cpus(),
@@ -115,6 +120,7 @@ def main(argv=None):
                             "process may use)")
         p.add_argument("--out-dir", default=None, help="result directory")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
+        p.set_defaults(handler=handler, **defaults)     # overrides the defaults above
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
@@ -122,28 +128,18 @@ def main(argv=None):
 
     p_val = sub.add_parser("validate", help="validate a config and print it resolved")
     p_val.add_argument("config")
+    p_val.set_defaults(handler=_cmd_validate)
 
-    p_grad = sub.add_parser("gradcheck",
-                            help="finite-difference check of analytic gradients")
+    p_grad = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
     p_grad.add_argument("--step", type=float, default=1e-4, help="positive and finite")
     p_grad.add_argument("--seed", type=int, default=7)
+    p_grad.set_defaults(handler=_cmd_gradcheck)
 
-    p_demo = sub.add_parser("demo",
-                            help="run the bundled reference config (few trials)")
-    add_common(p_demo)
+    p_demo = sub.add_parser("demo", help="run the bundled reference config (few trials)")
+    add_common(p_demo, handler=_cmd_demo, trials=2, out_dir="runs/demo")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        stem = Path(args.config).stem
-        return _cmd_run(args, args.config, default_out=f"runs/{stem}")
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "gradcheck":
-        return _cmd_gradcheck(args)
-    if args.command == "demo":
-        with resources.as_file(bundled_config_path()) as path:
-            return _cmd_run(args, path, default_out="runs/demo", trials_default=2)
-    raise AssertionError(args.command)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import yaml
 from .design import FitConfig
 from .device import DeviceConfig
 from .geometry import (SchemaError, SimGeometry, _at_least, _check_fields, _float,
-                       _names, _positive, _typed)
+                       _names, _positive, _shown, _typed)
 from .linklevel import MODULATIONS
 from .training import TrainingConfig
 
@@ -59,6 +59,11 @@ class ConfigConstraintError(ConfigError):
     well-formed config."""
 
 
+def _unknown(keys):
+    """The unknown `keys` of a mapping for a message, in text order; never raises."""
+    return _shown(sorted(keys, key=lambda k: _shown(k, str)))
+
+
 # Reader of `curves`; each tuple field names its reader in
 # field(metadata={"read": ...}), and a SchemaError names the key.
 
@@ -75,7 +80,7 @@ def _curves(value, where):
         if not grid:
             raise SchemaError(f"{loc}.ebn0_db: expected a nonempty list of numbers")
         if entry:
-            raise SchemaError(f"{loc}: unknown keys {sorted(entry, key=str)}")
+            raise SchemaError(f"{loc}: unknown keys {_unknown(entry)}")
         out.append(CurveSpec(mod, tuple(_float(v, f"{loc}.ebn0_db") for v in grid)))
     if not out:
         raise SchemaError(f"{where}: at least one curve required")
@@ -213,7 +218,7 @@ def _build_section(raw, section, cls):
         elif f.default is MISSING:
             raise ConfigSchemaError(f"{where}: required key missing")
     if raw:
-        raise ConfigSchemaError(f"{section}: unknown keys {sorted(raw, key=str)}")
+        raise ConfigSchemaError(f"{section}: unknown keys {_unknown(raw)}")
     try:
         return cls(**kwargs)
     except SchemaError as exc:
@@ -229,7 +234,7 @@ def parse_config(raw):
     sections = {f.name: _build_section(raw.pop(f.name, {}), f.name, f.type)
                 for f in fields(ExperimentConfig)}
     if raw:
-        raise ConfigSchemaError(f"config: unknown sections {sorted(raw, key=str)}")
+        raise ConfigSchemaError(f"config: unknown sections {_unknown(raw)}")
     return ExperimentConfig(**sections)
 
 

@@ -69,7 +69,8 @@ def fit_sim_to_target(ws, device, target, config=FitConfig()):
     (N x Q) in relative Frobenius error, as `config` (a FitConfig) bounds it.
 
     Returns a FitResult at the best iterate found; converged=False flags a
-    residual still at or above the tolerance. `device` is not changed.
+    residual still at or above the tolerance, and a target holding a NaN or
+    an inf raises FloatingPointError at once. `device` is not changed.
     A zero target degenerates the relative error, so the raw power
     ||G||_F^2 is minimized instead (amplitudes drive toward their floor).
     """
@@ -85,9 +86,8 @@ def fit_sim_to_target(ws, device, target, config=FitConfig()):
         return loss, device.param_grad(x, fwd.tau_cogradients(err / tnorm2))
 
     # `iterations` steps lie between iterations + 1 evaluations
-    x, best_loss, losses = minimize(loss_and_grad, device.params.ravel(),
-                                    Adam(config.step_size), config.iterations + 1,
-                                    lambda losses: np.sqrt(losses[-1]) < config.tolerance)
-    residual = float(np.sqrt(best_loss))
+    x, losses = minimize(loss_and_grad, device.params.ravel(), Adam(config.step_size),
+                         config.iterations + 1, lambda ls: np.sqrt(ls[-1]) < config.tolerance)
+    residual = float(np.sqrt(min(losses)))
     return FitResult(residual=residual, converged=residual < config.tolerance,
                      n_iterations=len(losses) - 1, params=x)

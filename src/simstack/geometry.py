@@ -29,11 +29,26 @@ class SchemaError(ValueError):
     """A config value of the wrong type or shape; the message names the key."""
 
 
+def _shown(value, form=repr):
+    """form(value) for a message, or a stand-in for a value that Python
+    cannot print: an int past its 4300-digit limit, or nesting too deep."""
+    try:
+        return form(value)
+    except (ValueError, RecursionError):
+        return f"<{type(value).__name__} that cannot be printed>"
+
+
 def _typed(value, key, *types):
-    """`value` if isinstance(value, types), where a bool counts only when bool is asked for."""
+    """`value` if isinstance(value, types), where a bool counts only when bool is
+    asked for; an int must be printable, so that a config can be written out."""
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise SchemaError(f"{key}: expected {'/'.join(t.__name__ for t in types)}, "
-                          f"got {type(value).__name__} ({value!r})")
+                          f"got {type(value).__name__} ({_shown(value)})")
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            raise SchemaError(f"{key}: integer too long to print") from None
     return value
 
 
@@ -49,7 +64,8 @@ def _names(choices, what):
     """Reader of a nonempty list of names, each one of `choices`."""
     def read(value, where):
         if not value or any(v not in choices for v in value):
-            raise SchemaError(f"{where}: expected {what} from {list(choices)}, got {list(value)}")
+            raise SchemaError(f"{where}: expected {what} from {list(choices)}, "
+                              f"got {_shown(list(value))}")
         return tuple(value)
     return read
 
@@ -85,7 +101,7 @@ def _at_least(section, low, *keys):
 def _int_pair(value, where):
     if len(value) != 2 or not all(type(v) is int and v > 0 for v in value):
         raise SchemaError(f"{where}: expected a pair of positive integers")
-    return tuple(value)
+    return tuple(_typed(v, where, int) for v in value)
 
 
 def _centered_grid(nx, ny, spacing):

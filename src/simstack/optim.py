@@ -5,6 +5,8 @@ Both optimizers expose step(grad) -> additive update; state lives in the
 instance, so a restart means constructing a fresh optimizer.
 """
 
+import math
+
 import numpy as np
 
 
@@ -43,18 +45,19 @@ OPTIMIZERS = {"adam": Adam, "sgd": GradientDescent}
 def minimize(loss_and_grad, x0, optimizer, evaluations, stop):
     """Evaluate `loss_and_grad(x) -> (loss, grad)` at most `evaluations`
     times, stepping x by `optimizer` between evaluations; `stop(losses)`
-    runs after every evaluation and ends the loop early when true.
-    Returns (best_x, best_loss, losses): the lowest-loss iterate visited
-    (x0 if none beats inf) and every loss seen.
+    runs after every evaluation and ends the loop early when true, and the
+    first non-finite loss raises FloatingPointError naming its evaluation.
+    Returns (best_x, losses): the first iterate of least loss, and every loss.
     """
-    x, best_x, best_loss = x0, x0, np.inf
-    losses = []
+    x, best_x, best_loss, losses = x0, x0, math.inf, []
     for _ in range(evaluations):
         loss, grad = loss_and_grad(x)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"non-finite loss at evaluation {len(losses)}")
         losses.append(loss)
         if loss < best_loss:
             best_x, best_loss = x, loss
         if stop(losses) or len(losses) == evaluations:
             break
         x = x + optimizer.step(grad)
-    return best_x, best_loss, losses
+    return best_x, losses

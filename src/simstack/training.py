@@ -17,7 +17,7 @@ beside the antenna rows (ForwardOperator's h) and the layer cogradients
 need no reverse sweep (ForwardOperator.h_cogradients).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +54,13 @@ class TrainingConfig:
             raise ValueError(f"optimizer {self.optimizer!r} is not one of {sorted(OPTIMIZERS)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossReport:
-    losses: list = field(default_factory=list)
-    radiated_power: float = 0.0
-    restarted: bool = False
+    """The returned run's losses, its stack's radiated power, and whether it restarted."""
+
+    losses: list
+    radiated_power: float
+    restarted: bool
 
 
 def _residual(b, f, noise):
@@ -110,11 +112,11 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     LossReport) at the best-loss iterate, `params` flat as
     `device.params.ravel()`; `device` is not changed.
 
-    Divergence (loss above 10x the initial loss) triggers one restart from
+    Divergence (last loss above 10x the first) triggers one restart from
     the initial state at half the step size; a second divergence raises
-    TrainingDivergenceError. The loss cannot see the precoder's sign, so
-    the returned precoder takes the sign that makes its receiver scale
-    positive.
+    TrainingDivergenceError; a non-finite loss raises FloatingPointError at
+    once, without a restart. The loss cannot see the precoder's sign, so the
+    returned precoder takes the sign that makes its receiver scale positive.
     """
     h = np.asarray(h)
     k = h.shape[1]
@@ -137,19 +139,14 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
         return loss, grad
 
     def diverged(losses):
-        if not np.isfinite(losses[-1]):
-            raise FloatingPointError(
-                f"non-finite training loss at iteration {len(losses) - 1}")
         return losses[-1] > 10.0 * losses[0]
 
-    report = LossReport()
     for step_size in (config.step_size, 0.5 * config.step_size):
         rng.bit_generator.state = start
-        x, _, losses = minimize(loss_and_grad, x0, OPTIMIZERS[config.optimizer](step_size),
-                                max(config.iterations, 1), diverged)
+        x, losses = minimize(loss_and_grad, x0, OPTIMIZERS[config.optimizer](step_size),
+                             max(config.iterations, 1), diverged)
         if not diverged(losses):
             break
-        report.restarted = True
     else:
         raise TrainingDivergenceError(
             f"training diverged at step sizes {config.step_size} and {step_size}")
@@ -159,9 +156,8 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     beta = optimal_receiver_scale(effective_channel(p, g, h), sigma2)
     if beta < 0:          # -P negates Re tr F and keeps ||F||
         p, beta = -p, -beta
-    report.losses = losses
-    report.radiated_power = radiated_power(p, g)
-    return x[:n], Precoder(p, total_power, beta), report
+    return x[:n], Precoder(p, total_power, beta), LossReport(
+        losses, radiated_power(p, g), restarted=step_size != config.step_size)
 
 
 def finite_difference_check(step=1e-4, seed=7):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from simstack import cli
+from simstack import cli, experiment
 from simstack.cli import bundled_config_path, main
 from simstack.config import (ConfigConstraintError, ConfigError, ConfigFileError,
                              ConfigSchemaError, CurveSpec, ExperimentConfig,
@@ -20,6 +21,9 @@ from simstack.device import DeviceConfig, SimDevice
 from simstack.experiment import read_ber_csv
 from simstack.geometry import SimGeometry
 from simstack.training import TrainingConfig
+
+
+_HUGE = 10 ** 5000     # more digits than Python prints
 
 
 @pytest.fixture
@@ -235,6 +239,15 @@ class TestValidation:
                            match=rf"simulation\.curves\[{index}\]\.ebn0_db"):
             parse_config(tiny_raw)
 
+    @pytest.mark.parametrize("edit, where", [
+        (lambda sim: sim["curves"][0].update(ebn0_db=[]), "simulation.curves[0].ebn0_db"),
+        (lambda sim: sim.update(curves=[]), "simulation.curves"),
+    ], ids=["empty_grid", "no_curves"])
+    def test_empty_curve_lists(self, tiny_raw, edit, where):
+        edit(tiny_raw["simulation"])
+        with pytest.raises(ConfigSchemaError, match=re.escape(where) + ":"):
+            parse_config(tiny_raw)
+
     def test_manifest_may_take_a_free_output_name(self, tiny_raw):
         tiny_raw["output"] = {"manifest": "snapshots", "csv_prefix": "res"}
         tiny_raw["simulation"]["curves"].append({"modulation": "qam16", "ebn0_db": [4.0]})
@@ -296,12 +309,15 @@ class TestValidation:
 
 
 # Any value in place of one to three sections, keys or curve fields of the
-# tiny config: parse_config returns a config or raises a ConfigError.
+# tiny config: parse_config returns a config that hashes, or raises a ConfigError.
+# Ints reach past Python's 4300-digit print limit, as values and as keys.
+_HUGE_INTS = st.integers(10 ** 4300, 10 ** 4400) | st.integers(-10 ** 4400, -10 ** 4300)
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                      st.integers(2 ** 1024, 10 ** 400), st.integers(-10 ** 400, -2 ** 1024),
-                     st.text(max_size=4))
+                     _HUGE_INTS, st.text(max_size=4))
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
-    st.one_of(st.text(max_size=4), st.integers(), st.none()), inner, max_size=3), max_leaves=6)
+    st.one_of(st.text(max_size=4), st.integers(), _HUGE_INTS, st.none()), inner, max_size=3),
+    max_leaves=6)
 _PATHS = ([(f.name,) for f in fields(ExperimentConfig)]
           + [(f.name, g.name) for f in fields(ExperimentConfig) for g in fields(f.type)]
           + [("simulation", "curves", 0, key) for key in ("modulation", "ebn0_db")])
@@ -317,9 +333,11 @@ def test_parse_config_only_raises_config_errors(tiny_config_text, edits):
             node = node.setdefault(step, {}) if isinstance(node, dict) else node[step]
         node[path[-1]] = value
     try:
-        assert isinstance(parse_config(raw), ExperimentConfig)
+        cfg = parse_config(raw)
     except ConfigError:
-        pass
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert len(cfg.sha256()) == 64       # a config that loads can be written out
 
 
 class TestSchema:
@@ -372,6 +390,31 @@ class TestBuiltInCode:
         tiny_raw["geometry"]["antenna_spacing_wl"] = 1.0
         assert replace(tiny_config, geometry=geometry).sha256() == \
             parse_config(tiny_raw).sha256()
+
+    # Python prints no int of more than 4300 digits, nor a list nested
+    # 100000 deep; YAML refuses such a literal, a dict built in code can hold one
+    @pytest.mark.parametrize("edit, where", [
+        (lambda raw: raw.update(output=_HUGE), "output: expected dict"),
+        (lambda raw: raw.update(output={_HUGE: 1}), "output: unknown keys"),
+        (lambda raw: raw.update({_HUGE: 1}), "config: unknown sections"),
+        (lambda raw: raw.update(output={"csv_prefix": _HUGE}), "output.csv_prefix:"),
+        (lambda raw: raw["simulation"].update(n_trials=-_HUGE), "simulation.n_trials:"),
+        (lambda raw: raw["device"].update(layer_kinds=[_HUGE, "pc"]), "device.layer_kinds:"),
+        (lambda raw: raw["simulation"].update(methods=[_HUGE]), "simulation.methods:"),
+        (lambda raw: raw["simulation"].update(n_users=_HUGE), "simulation.n_users:"),
+        (lambda raw: raw["simulation"].update(master_seed=_HUGE), "simulation.master_seed:"),
+        (lambda raw: raw["geometry"].update(layer_cells=[_HUGE, 4]), "geometry.layer_cells:"),
+        (lambda raw: raw["simulation"]["curves"][0].update({_HUGE: 1}),
+         "simulation.curves[0]: unknown keys"),
+        (lambda raw: raw.update(output=functools.reduce(lambda d, _: [d], range(10 ** 5), [])),
+         "output: expected dict"),
+    ], ids=["section", "key_in_section", "top_level_key", "str_key", "negative_int",
+            "layer_kind", "method", "n_users", "master_seed", "layer_cells", "curve_key",
+            "deep_list"])
+    def test_unprintable_value_names_its_key(self, tiny_raw, edit, where):
+        edit(tiny_raw)
+        with pytest.raises(ConfigSchemaError, match=re.escape(where)):
+            parse_config(tiny_raw)
 
     # a null is not a value, not even where omitting the key takes a default
     @pytest.mark.parametrize("section, key", [
@@ -480,6 +523,23 @@ class TestCli:
         assert main(args + ["--out-dir", str(tmp_path / "out")]) == 0
         assert seen == [workers]
 
+    @pytest.mark.parametrize("command, out_dir", [("run", "runs/tiny"), ("demo", "runs/demo")],
+                             ids=["run", "demo"])
+    def test_run_defaults(self, tmp_path, tiny_config_text, monkeypatch, command, out_dir):
+        # demo runs 2 of the bundled config's 100 trials; run keeps the tiny
+        # config's 2 and names its directory after the config
+        seen = []
+
+        def fake_run(cfg, out_dir, workers):
+            seen.append((cfg.simulation.n_trials, out_dir))
+            return {"outputs": [], "manifest": "manifest.json", "n_failed": 0}
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(tiny_config_text)
+        args = [command] + ([str(cfg_path)] if command == "run" else [])
+        assert main(args + ["--workers", "1"]) == 0
+        assert seen == [(2, out_dir)]
+
     @pytest.mark.parametrize("command", ["run", "demo"])
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_run_rejects_bad_worker_count(self, tmp_path, tiny_config_text, capsys,
@@ -526,6 +586,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "--step" in err
+
+    def test_gradcheck_fails_above_tolerance(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "finite_difference_check", lambda step, seed: {
+            "n_parameters": 1, "device": 1e-3, "precoder": 0.0})
+        assert main(["gradcheck"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL (tolerance 1e-05)"
+
+    def test_run_whose_trials_all_fail_exits_1(self, tmp_path, tiny_config_text, capsys,
+                                              monkeypatch):
+        def boom(cfg, index, seed):
+            raise FloatingPointError("non-finite loss at evaluation 0")
+        monkeypatch.setattr(experiment, "run_trial", boom)
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(tiny_config_text)
+        rc = main(["run", str(cfg_path), "--workers", "1", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("experiment failed: all 2 trials failed") and err.count("\n") == 1
+
+    def test_run_notes_a_tolerated_failure(self, tmp_path, tiny_config_text, capsys,
+                                           monkeypatch):
+        real = experiment.run_trial
+
+        def flaky(cfg, index, seed):
+            if index == 0:
+                raise FloatingPointError("non-finite loss at evaluation 0")
+            return real(cfg, index, seed)
+        monkeypatch.setattr(experiment, "run_trial", flaky)
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(tiny_config_text.replace(
+            "  n_trials: 2\n", "  n_trials: 2\n  max_failed_fraction: 0.5\n"))
+        rc = main(["run", str(cfg_path), "--workers", "1", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "note: 1 trial(s) failed and were excluded"
 
     def test_run_tiny_config(self, tmp_path, tiny_config_text, capsys):
         cfg_path = tmp_path / "tiny.yaml"

@@ -112,6 +112,18 @@ class TestFit:
             / np.linalg.norm(target)
         assert np.isclose(result.residual, start, atol=1e-12)
 
+    # the first gradient is computed, with numpy's warning, before the loss is checked
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_raises_at_first_evaluation(self, rng, bad):
+        geom = _geometry(2)
+        device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
+        h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+        target = svd_target(h, 2)
+        target[1, 5] = bad
+        with pytest.raises(FloatingPointError, match="^non-finite loss at evaluation 0$"):
+            fit_sim_to_target(coupling_chain(geom), device, target, FitConfig(iterations=50))
+
     def test_reached_target_takes_no_step(self):
         # the device's own response is met at the first evaluation
         geom = _geometry(2)

@@ -12,6 +12,7 @@ import simstack.experiment as experiment
 from simstack.experiment import (ExperimentError, TrialRecord, aggregate,
                                  ber_rows, read_ber_csv, run_experiment,
                                  run_trial, run_trials, write_ber_csv)
+from simstack import training
 from simstack.training import TrainingDivergenceError
 
 
@@ -243,6 +244,59 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["n_failed"] == 1
         assert manifest["failed_notes"] == ["TrainingDivergenceError: flaky"]
+
+    # the fit's first target, or the first training loss, of trial 0 is NaN
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("stage", ["fit", "train"])
+    def test_non_finite_loss_fails_its_trial_only(self, tiny_config, tmp_path, monkeypatch,
+                                                  stage):
+        import dataclasses
+        clean = run_trials(tiny_config, workers=1)
+        calls = []
+        if stage == "fit":
+            real = experiment.svd_target
+
+            def first_nan(h, n):
+                calls.append(real(h, n))
+                return calls[-1] * np.nan if len(calls) == 1 else calls[-1]
+            monkeypatch.setattr(experiment, "svd_target", first_nan)
+        else:
+            real = training._evaluate
+
+            def first_nan(*args):
+                calls.append(real(*args))
+                loss, beta, grad = calls[-1]
+                return (np.nan if len(calls) == 1 else loss), beta, grad
+            monkeypatch.setattr(training, "_evaluate", first_nan)
+        sim = dataclasses.replace(tiny_config.simulation, max_failed_fraction=0.5)
+        summary = run_experiment(dataclasses.replace(tiny_config, simulation=sim),
+                                 tmp_path / "out", workers=1)
+        assert summary["n_failed"] == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed_notes"] == [
+            "FloatingPointError: non-finite loss at evaluation 0"]
+        calls.clear()
+        records = run_trials(tiny_config, workers=1)
+        assert records[0].failed and not records[1].failed
+        assert records[1].counts == clean[1].counts
+        assert records[1].fit_residual == clean[1].fit_residual
+
+    def test_snapshots_skip_a_failed_trial(self, tiny_config, tmp_path, monkeypatch):
+        import dataclasses
+        real = run_trial
+
+        def flaky(cfg, index, seed):
+            if index == 0:
+                raise TrainingDivergenceError("flaky")
+            return real(cfg, index, seed)
+        monkeypatch.setattr(experiment, "run_trial", flaky)
+        cfg = dataclasses.replace(
+            tiny_config,
+            simulation=dataclasses.replace(tiny_config.simulation, max_failed_fraction=0.5),
+            output=dataclasses.replace(tiny_config.output, snapshots=True))
+        run_experiment(cfg, tmp_path / "out", workers=1)
+        snaps = sorted(p.name for p in (tmp_path / "out" / "snapshots").iterdir())
+        assert snaps == ["trial_0001.npz"]
 
     def test_any_trial_exception_is_recorded(self, tiny_config, tmp_path, monkeypatch):
         # a zero channel draw makes the SVD target raise DegenerateChannelError

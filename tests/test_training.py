@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from simstack import training
 from simstack.device import DeviceConfig, SimDevice
 from simstack.linklevel import generate_channel, make_constellation
 from simstack.precoding import Precoder, TrainablePrecoder, mmse_precoder
@@ -176,6 +179,25 @@ class TestTrain:
         with pytest.raises(TrainingDivergenceError):
             train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
                   snr=1e4, seed=5)
+
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_non_finite_loss_raises_without_restart(self, small_geometry, monkeypatch, at):
+        # the loss turns NaN at evaluation `at`: train raises there, and does
+        # not retry at half the step size
+        real, losses = training._evaluate, []
+
+        def nan_at(*args):
+            loss, beta, grad = real(*args)
+            losses.append(loss)
+            return (math.nan if len(losses) == at + 1 else loss), beta, grad
+        monkeypatch.setattr(training, "_evaluate", nan_at)
+        h, config = _train_setup(iterations=10)
+        device = SimDevice(small_geometry.n_cells, DeviceConfig(("ac", "pc", "pc")),
+                           rng=np.random.default_rng(4))
+        with pytest.raises(FloatingPointError, match=f"^non-finite loss at evaluation {at}$"):
+            train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
+                  snr=10.0, seed=5)
+        assert len(losses) == at + 1
 
     def test_sign_flipped_precoder_gets_positive_scale(self, small_geometry, monkeypatch):
         # the pilot loss cannot tell P from -P; the returned precoder must
