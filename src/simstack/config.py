@@ -109,8 +109,8 @@ class SimulationSection:
     max_failed_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.total_power is None:      # omitted: n_users, stored as a float below
-            object.__setattr__(self, "total_power", self.n_users)
+        if self.total_power is None:      # omitted: n_users, as a float
+            object.__setattr__(self, "total_power", _float(self.n_users, "n_users"))
         _check_fields(self)
         _at_least(self, 1, "n_users", "bits_per_user", "n_trials")
         _at_least(self, 0, "master_seed")

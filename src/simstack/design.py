@@ -66,18 +66,18 @@ class FitResult:
 def fit_sim_to_target(ws, device, target, config=FitConfig()):
     """Fit the device's transmission parameters, from its initial draw, so
     the stack response through the coupling chain `ws` approaches `target`
-    (N x Q) in relative Frobenius error, as `config` (a FitConfig) bounds it.
-
-    Returns a FitResult at the best iterate found; converged=False flags a
-    residual still at or above the tolerance, and a target holding a NaN or
-    an inf raises FloatingPointError at once. `device` is not changed.
-    A zero target degenerates the relative error, so the raw power
-    ||G||_F^2 is minimized instead (amplitudes drive toward their floor).
+    in relative Frobenius error, as `config` (a FitConfig) bounds it.
+    Returns a FitResult at the best iterate; converged=False flags a residual
+    still at or above the tolerance. `device` is not changed. The target must
+    be N x Q, finite and nonzero: the fit refuses any other before its first
+    sweep, with ValueError for a shape and FloatingPointError for a norm.
     """
     target = np.asarray(target)
+    if target.shape != ws[0].shape:
+        raise ValueError(f"target has shape {target.shape}, the chain's response {ws[0].shape}")
     tnorm2 = float(np.linalg.norm(target) ** 2)
-    if tnorm2 == 0.0:
-        tnorm2 = 1.0
+    if not 0.0 < tnorm2 < np.inf:         # no relative error to measure against
+        raise FloatingPointError("non-finite loss at evaluation 0")
 
     def loss_and_grad(x):
         fwd = ForwardOperator(ws, device.taus(x))

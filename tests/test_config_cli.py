@@ -268,9 +268,12 @@ class TestValidation:
         ("master_seed: 7", "master_seed: 1" + "0" * 4400, "'master_seed': Exceeds the limit"),
         ("[4.0]", "[1" + "0" * 4400 + "]", "'ebn0_db': Exceeds the limit"),
         ("n_trials: 2", "n_trials: 100\n  n_trials: 3", "duplicate key 'n_trials'"),
+        # total_power is omitted, so it takes n_users, which is too large for it
+        ("n_users: 2", "n_users: 1" + "0" * 400,
+         "simulation.n_users: integer too large for a float"),
     ], ids=["null_section", "huge_float", "huge_ebn0_db", "huge_gain_bounds_db",
             "mixed_unknown_keys", "mixed_unknown_sections", "mixed_curve_keys",
-            "long_int", "long_int_in_list", "duplicate_key"])
+            "long_int", "long_int_in_list", "duplicate_key", "huge_n_users"])
     def test_malformed_text_names_its_key(self, tmp_path, capsys, tiny_config_text,
                                           old, new, where):
         p = tmp_path / "bad.yaml"

@@ -1,8 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from simstack.design import (DegenerateChannelError, FitConfig, FitResult,
-                             fit_sim_to_target, svd_target)
+from simstack import design
+from simstack.design import (DegenerateChannelError, FitConfig, fit_sim_to_target,
+                             svd_target)
 from simstack.device import DeviceConfig, SimDevice
 from simstack.geometry import SimGeometry
 from simstack.propagation import ForwardOperator, coupling_chain
@@ -15,6 +19,24 @@ def _geometry(n_layers):
 
 def _forward(geometry, device, x):
     return ForwardOperator(coupling_chain(geometry), device.taus(x)).matrix
+
+
+def _refused_before_first_sweep(monkeypatch, target, error, match):
+    """Fit `target` through the 2-layer chain: it must raise `error`, with no
+    warning and before any ForwardOperator is built."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ForwardOperator(*args)
+    monkeypatch.setattr(design, "ForwardOperator", counting)
+    device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            fit_sim_to_target(coupling_chain(_geometry(2)), device, target,
+                              FitConfig(iterations=50))
+    assert built == []
 
 
 class TestSvdTarget:
@@ -112,17 +134,23 @@ class TestFit:
             / np.linalg.norm(target)
         assert np.isclose(result.residual, start, atol=1e-12)
 
-    # the first gradient is computed, with numpy's warning, before the loss is checked
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_target_raises_at_first_evaluation(self, rng, bad):
-        geom = _geometry(2)
-        device = SimDevice(16, DeviceConfig(("pc", "pc")), rng=np.random.default_rng(8))
-        h = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
-        target = svd_target(h, 2)
+    def test_non_finite_target_raises_at_first_evaluation(self, monkeypatch, rng, bad):
+        target = svd_target(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)), 2)
         target[1, 5] = bad
-        with pytest.raises(FloatingPointError, match="^non-finite loss at evaluation 0$"):
-            fit_sim_to_target(coupling_chain(geom), device, target, FitConfig(iterations=50))
+        _refused_before_first_sweep(monkeypatch, target, FloatingPointError,
+                                    "^non-finite loss at evaluation 0$")
+
+    def test_zero_target_raises_at_first_evaluation(self, monkeypatch):
+        _refused_before_first_sweep(monkeypatch, np.zeros((2, 16), dtype=complex),
+                                    FloatingPointError, "^non-finite loss at evaluation 0$")
+
+    # the chain's response is N x Q = 2 x 16
+    @pytest.mark.parametrize("shape", [(1, 16), (16,), (2, 1)], ids=["row", "flat", "column"])
+    def test_wrong_shape_target_raises(self, monkeypatch, shape):
+        _refused_before_first_sweep(monkeypatch, np.ones(shape, dtype=complex), ValueError,
+                                    re.escape(f"target has shape {shape}, "
+                                              f"the chain's response (2, 16)"))
 
     def test_reached_target_takes_no_step(self):
         # the device's own response is met at the first evaluation
@@ -152,18 +180,3 @@ class TestFit:
     def test_config_rejects(self, key, value):
         with pytest.raises(ValueError, match=key):
             FitConfig(**{key: value})
-
-    def test_zero_target_drives_amplitudes_to_floor(self):
-        geom = _geometry(1)
-        device = SimDevice(16, DeviceConfig(("ac",)), rng=np.random.default_rng(2))
-        start = np.abs(device.taus(device.params.ravel())[0])
-        result = fit_sim_to_target(coupling_chain(geom), device,
-                                   np.zeros((2, 16), dtype=complex),
-                                   FitConfig(iterations=600, step_size=0.05))
-        assert isinstance(result, FitResult)
-        floor = device.alpha_min
-        amps = np.abs(device.taus(result.params)[0])
-        # Adam creeps through the last stretch; near the floor is enough
-        assert np.all(amps < start)
-        assert np.all(amps < floor + 0.05 * (start.mean() - floor))
-        assert result.residual ** 2 < 0.1

@@ -246,7 +246,6 @@ class TestRunExperiment:
         assert manifest["failed_notes"] == ["TrainingDivergenceError: flaky"]
 
     # the fit's first target, or the first training loss, of trial 0 is NaN
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("stage", ["fit", "train"])
     def test_non_finite_loss_fails_its_trial_only(self, tiny_config, tmp_path, monkeypatch,
                                                   stage):
