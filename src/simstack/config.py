@@ -6,12 +6,12 @@ carrier frequency given separately, so a config is frequency-portable.
 Validation is strict: unknown keys, wrong types (a boolean is never a
 number, in a list either), out-of-range values and violated cross-field
 constraints are rejected with the offending key named. The section
-dataclasses are the schema and the one place a value is checked: each states
-its fields' names, types, defaults and ranges once and checks them on
-construction, and `ExperimentConfig` checks the rules that span sections. So
-a config built or `replace`d in code is checked exactly as a loaded one. The
-loader maps keys onto constructors and errors onto config errors, by four
-rules: a missing section is an empty one, null is never a value (nor a
+dataclasses and `CurveSpec` are the schema and the one place a value is
+checked: each states its fields' names, types, defaults and ranges once and
+checks them on construction, and `ExperimentConfig` checks the rules that span
+sections, so a config built or `replace`d in code is checked as a loaded one.
+`_mapped` maps the keys of every mapping, a section or a curve entry, by one
+rule. A missing section is an empty one, null is never a value (nor a
 section), a key may appear once in a mapping, and a number must fit a float.
 Any YAML that is not a config raises a ConfigError naming its section or key.
 The geometry, device, training and fitting sections are `geometry.SimGeometry`,
@@ -30,7 +30,7 @@ import yaml
 from .design import FitConfig
 from .device import DeviceConfig
 from .geometry import (SchemaError, SimGeometry, _at_least, _check_fields, _float,
-                       _names, _positive, _shown, _typed)
+                       _names, _numbers, _positive, _shown, _typed)
 from .linklevel import MODULATIONS
 from .training import TrainingConfig
 
@@ -64,27 +64,14 @@ def _unknown(keys):
     return _shown(sorted(keys, key=lambda k: _shown(k, str)))
 
 
-# Reader of `curves`; each tuple field names its reader in
-# field(metadata={"read": ...}), and a SchemaError names the key.
-
 def _curves(value, where):
-    out = []
-    for i, entry in enumerate(value):
-        loc = f"{where}[{i}]"
-        # `replace` passes the parsed CurveSpecs back in
-        entry = dict(vars(entry) if isinstance(entry, CurveSpec) else _typed(entry, loc, dict))
-        mod = _typed(entry.pop("modulation", None), f"{loc}.modulation", str)
-        if mod not in MODULATIONS:
-            raise SchemaError(f"{loc}.modulation: unknown modulation {mod!r}")
-        grid = _typed(entry.pop("ebn0_db", None), f"{loc}.ebn0_db", list, tuple)
-        if not grid:
-            raise SchemaError(f"{loc}.ebn0_db: expected a nonempty list of numbers")
-        if entry:
-            raise SchemaError(f"{loc}: unknown keys {_unknown(entry)}")
-        out.append(CurveSpec(mod, tuple(_float(v, f"{loc}.ebn0_db") for v in grid)))
-    if not out:
+    """Reader of `simulation.curves`: at least one curve, each a CurveSpec
+    or a mapping that `_mapped` reads like a section."""
+    if not value:
         raise SchemaError(f"{where}: at least one curve required")
-    return tuple(out)
+    # `replace` passes the checked CurveSpecs back in
+    return tuple(c if isinstance(c, CurveSpec) else _mapped(c, f"{where}[{i}]", CurveSpec)
+                 for i, c in enumerate(value))
 
 
 def _has_separator(name):
@@ -93,8 +80,16 @@ def _has_separator(name):
 
 @dataclass(frozen=True)
 class CurveSpec:
+    """One BER curve: a modulation and its Eb/N0 grid in dB. It checks itself
+    like a section, and a `simulation.curves` entry follows the same key rules."""
+
     modulation: str
-    ebn0_db: tuple
+    ebn0_db: tuple = field(metadata={"read": _numbers()})
+
+    def __post_init__(self):
+        _check_fields(self)
+        if self.modulation not in MODULATIONS:
+            raise SchemaError(f"modulation: unknown modulation {self.modulation!r}")
 
 
 @dataclass(frozen=True)
@@ -195,44 +190,42 @@ class ExperimentConfig:
         return self.geometry
 
 
-def _mapping(raw, where):
-    try:
-        return dict(_typed(raw, where, dict))
-    except SchemaError as exc:
-        raise ConfigSchemaError(str(exc)) from exc
-
-
-def _build_section(raw, section, cls):
-    """Map one section's keys onto its dataclass `cls`, whose constructor
-    checks every value. A field without a default is required; an unknown key
-    or a null is rejected. The constructor's SchemaError becomes a
-    ConfigSchemaError, any other ValueError a ConfigConstraintError."""
-    raw = _mapping(raw, section)
+def _mapped(raw, where, cls):
+    """`cls` built from the mapping `raw` by the key rules of every mapping in
+    a config: a field without a default is required, an unknown key or a null
+    is rejected, and the constructor checks each value. A SchemaError (type or
+    key) or ValueError (range) names `where.key`."""
+    raw = dict(_typed(raw, where, dict))
     kwargs = {}
     for f in fields(cls):
-        where = f"{section}.{f.name}"
         if f.name in raw:
             kwargs[f.name] = raw.pop(f.name)
             if kwargs[f.name] is None:
-                raise ConfigSchemaError(f"{where}: null is not a value; omit the key instead")
+                raise SchemaError(f"{where}.{f.name}: null is not a value; omit the key instead")
         elif f.default is MISSING:
-            raise ConfigSchemaError(f"{where}: required key missing")
+            raise SchemaError(f"{where}.{f.name}: required key missing")
     if raw:
-        raise ConfigSchemaError(f"{section}: unknown keys {_unknown(raw)}")
+        raise SchemaError(f"{where}: unknown keys {_unknown(raw)}")
     try:
         return cls(**kwargs)
     except SchemaError as exc:
-        raise ConfigSchemaError(f"{section}.{exc}") from exc
+        raise SchemaError(f"{where}.{exc}") from exc
     except ValueError as exc:
-        raise ConfigConstraintError(f"{section}.{exc}") from exc
+        raise ValueError(f"{where}.{exc}") from exc
 
 
 def parse_config(raw):
-    """Map a mapping onto an ExperimentConfig, which checks it. A missing
-    section is an empty one, so its required keys are reported by name."""
-    raw = _mapping(raw, "config")
-    sections = {f.name: _build_section(raw.pop(f.name, {}), f.name, f.type)
-                for f in fields(ExperimentConfig)}
+    """Map a mapping onto an ExperimentConfig, each section by `_mapped`; a
+    missing section is an empty one, so its required keys are reported by name.
+    A SchemaError becomes a ConfigSchemaError, a ValueError a ConfigConstraintError."""
+    try:
+        raw = dict(_typed(raw, "config", dict))
+        sections = {f.name: _mapped(raw.pop(f.name, {}), f.name, f.type)
+                    for f in fields(ExperimentConfig)}
+    except SchemaError as exc:
+        raise ConfigSchemaError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigConstraintError(str(exc)) from exc
     if raw:
         raise ConfigSchemaError(f"config: unknown sections {_unknown(raw)}")
     return ExperimentConfig(**sections)

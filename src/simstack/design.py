@@ -75,7 +75,8 @@ def fit_sim_to_target(ws, device, target, config=FitConfig()):
     target = np.asarray(target)
     if target.shape != ws[0].shape:
         raise ValueError(f"target has shape {target.shape}, the chain's response {ws[0].shape}")
-    tnorm2 = float(np.linalg.norm(target) ** 2)
+    with np.errstate(over="ignore"):      # a norm past ~1.3e154 squares to inf
+        tnorm2 = float(np.linalg.norm(target) ** 2)
     if not 0.0 < tnorm2 < np.inf:         # no relative error to measure against
         raise FloatingPointError("non-finite loss at evaluation 0")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SchemaError, _check_fields, _float, _names, _positive
+from .geometry import _check_fields, _names, _numbers, _positive
 
 LAYER_KINDS = ("pc", "ac")
 
@@ -48,13 +48,6 @@ def _logit(p):
     return math.log(p / (1.0 - p))
 
 
-def _number_pair(value, where):
-    """Config reader of `gain_bounds_db`."""
-    if len(value) != 2:
-        raise SchemaError(f"{where}: expected a pair of numbers")
-    return tuple(_float(v, where) for v in value)
-
-
 @dataclass(frozen=True)
 class DeviceConfig:
     """A stack's layer kinds, in order, with the (lower, upper) gain of an ac
@@ -62,7 +55,7 @@ class DeviceConfig:
     a config."""
 
     layer_kinds: tuple = field(metadata={"read": _names(LAYER_KINDS, "layer kinds")})
-    gain_bounds_db: tuple = field(default=(-22.0, 13.0), metadata={"read": _number_pair})
+    gain_bounds_db: tuple = field(default=(-22.0, 13.0), metadata={"read": _numbers(2)})
     pc_amplitude: float = 0.9
 
     def __post_init__(self):

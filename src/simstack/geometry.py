@@ -70,6 +70,16 @@ def _names(choices, what):
     return read
 
 
+def _numbers(count=None):
+    """Reader of `count` numbers, or of a nonempty list if None, stored as floats."""
+    what = f"{count} numbers" if count else "a nonempty list of numbers"
+    def read(value, where):
+        if (len(value) != count) if count else not value:
+            raise SchemaError(f"{where}: expected {what}")
+        return tuple(_float(v, where) for v in value)
+    return read
+
+
 def _check_fields(section):
     """Check and store each field of the dataclass `section` by its annotation:
     float takes an int or a float and stores a float; int, str and bool take

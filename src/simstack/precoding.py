@@ -24,11 +24,11 @@ class Precoder:
     beta: float
 
     def __post_init__(self):
-        p2 = np.linalg.norm(self.matrix) ** 2
-        if abs(p2 - self.total_power) > 1e-10 * self.total_power:
+        p2 = float(np.linalg.norm(self.matrix) ** 2)
+        if not abs(p2 - self.total_power) <= 1e-10 * self.total_power < np.inf:  # NaN, inf fail
             raise ValueError(f"||P||_F^2 = {p2} != total power {self.total_power}")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
 
 
 def mmse_precoder(g, h, snr, total_power):
@@ -38,8 +38,9 @@ def mmse_precoder(g, h, snr, total_power):
     so that ||P||_F^2 = total_power. The returned beta is also the optimal
     receiver scale for this P (the construction is self-consistent).
     """
-    if not np.isfinite(snr) or snr <= 0:
-        raise ValueError("snr must be finite and positive")
+    for name, value in (("snr", snr), ("total_power", total_power)):
+        if not np.isfinite(value) or value <= 0:
+            raise ValueError(f"{name} must be finite and positive")
     m = np.asarray(g) @ np.asarray(h)            # N x K
     n = m.shape[0]
     reg = m @ m.conj().T + (1.0 / snr) * np.eye(n)

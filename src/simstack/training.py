@@ -126,10 +126,10 @@ def train(ws, device, h, config, constellation, total_power, *, snr, seed=None):
     rng = np.random.default_rng(seed)
     s = config.pilot_symbols
     b = constellation.points[rng.integers(0, constellation.order, (s, k))]
-    sigma2 = total_power / (k * snr)
 
     g0 = ForwardOperator(ws, device.taus(device.params.ravel())).matrix
     tp = TrainablePrecoder(total_power, mmse_precoder(g0, h, snr, total_power).matrix)
+    sigma2 = total_power / (k * snr)      # mmse_precoder has refused a bad snr
     n = device.params.size
     x0 = np.concatenate([device.params.ravel(), tp.x0])
     start = rng.bit_generator.state      # restarts replay the same noise

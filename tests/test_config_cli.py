@@ -122,6 +122,14 @@ class TestValidation:
         with pytest.raises(ConfigSchemaError, match="curves"):
             parse_config(tiny_raw)
 
+    # a curve entry follows the key rules of a section
+    @pytest.mark.parametrize("key", ["modulation", "ebn0_db"])
+    def test_missing_required_curve_key(self, tiny_raw, key):
+        del tiny_raw["simulation"]["curves"][0][key]
+        with pytest.raises(ConfigSchemaError,
+                           match=re.escape(f"simulation.curves[0].{key}: required key missing")):
+            parse_config(tiny_raw)
+
     def test_kind_count_mismatch_names_both_keys(self, tiny_raw):
         tiny_raw["device"]["layer_kinds"] = ["pc"]
         with pytest.raises(ConfigConstraintError) as err:
@@ -312,8 +320,9 @@ class TestValidation:
 
 
 # Any value in place of one to three sections, keys or curve fields of the
-# tiny config: parse_config returns a config that hashes, or raises a ConfigError.
-# Ints reach past Python's 4300-digit print limit, as values and as keys.
+# tiny config, or the key deleted: parse_config returns a config that hashes,
+# or raises a ConfigError. Ints reach past Python's 4300-digit print limit,
+# as values and as keys.
 _HUGE_INTS = st.integers(10 ** 4300, 10 ** 4400) | st.integers(-10 ** 4400, -10 ** 4300)
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                      st.integers(2 ** 1024, 10 ** 400), st.integers(-10 ** 400, -2 ** 1024),
@@ -324,17 +333,22 @@ _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.
 _PATHS = ([(f.name,) for f in fields(ExperimentConfig)]
           + [(f.name, g.name) for f in fields(ExperimentConfig) for g in fields(f.type)]
           + [("simulation", "curves", 0, key) for key in ("modulation", "ebn0_db")])
+_DELETE = object()      # an edit that deletes its key
 
 
 @settings(max_examples=200, deadline=None)
-@given(edits=st.lists(st.tuples(st.sampled_from(_PATHS), _VALUES), min_size=1, max_size=3))
+@given(edits=st.lists(st.tuples(st.sampled_from(_PATHS), _VALUES | st.just(_DELETE)),
+                      min_size=1, max_size=3))
 def test_parse_config_only_raises_config_errors(tiny_config_text, edits):
     raw = yaml.safe_load(tiny_config_text)
     for path, value in sorted(edits, key=lambda e: -len(e[0])):   # deepest first
         node = raw
         for step in path[:-1]:
             node = node.setdefault(step, {}) if isinstance(node, dict) else node[step]
-        node[path[-1]] = value
+        if value is _DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
     try:
         cfg = parse_config(raw)
     except ConfigError:
@@ -381,8 +395,11 @@ class TestBuiltInCode:
          ConfigConstraintError, "simulation.n_users"),
         (lambda c: SimGeometry(4, 2, 12, 3e8), ValueError, "layer_cells"),
         (lambda c: DeviceConfig(["pc"], gain_bounds_db=13.0), ValueError, "gain_bounds_db"),
+        (lambda c: CurveSpec("qam64", (4.0,)), ValueError, "modulation: unknown modulation"),
+        (lambda c: CurveSpec("qpsk", ()), ValueError, "ebn0_db: expected a nonempty list"),
+        (lambda c: CurveSpec("qpsk", (True, 2.0)), ValueError, "ebn0_db: expected int/float"),
     ], ids=["methods", "bits_per_user", "layer_kinds", "n_users", "layer_cells",
-            "gain_bounds_db"])
+            "gain_bounds_db", "curve_modulation", "curve_empty_grid", "curve_bool_in_grid"])
     def test_rejected_at_construction(self, tiny_config, build, error, key):
         with pytest.raises(error, match=re.escape(key)):
             build(tiny_config)
@@ -419,14 +436,19 @@ class TestBuiltInCode:
         with pytest.raises(ConfigSchemaError, match=re.escape(where)):
             parse_config(tiny_raw)
 
-    # a null is not a value, not even where omitting the key takes a default
+    # a null is not a value, not even where omitting the key takes a default;
+    # a curve entry follows the key rules of a section
     @pytest.mark.parametrize("section, key", [
         ("simulation", "total_power"), ("simulation", "n_users"),
         ("device", "gain_bounds_db"), ("output", "snapshots"),
+        ("simulation.curves[0]", "modulation"),
     ])
     def test_explicit_null_rejected(self, tiny_raw, section, key):
-        tiny_raw.setdefault(section, {})[key] = None
-        with pytest.raises(ConfigSchemaError, match=re.escape(f"{section}.{key}")):
+        node = (tiny_raw["simulation"]["curves"][0] if section == "simulation.curves[0]"
+                else tiny_raw.setdefault(section, {}))
+        node[key] = None
+        with pytest.raises(ConfigSchemaError,
+                           match=re.escape(f"{section}.{key}: null is not a value")):
             parse_config(tiny_raw)
 
 

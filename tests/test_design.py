@@ -134,7 +134,8 @@ class TestFit:
             / np.linalg.norm(target)
         assert np.isclose(result.residual, start, atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # 1e200 is finite, but its square is not
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_target_raises_at_first_evaluation(self, monkeypatch, rng, bad):
         target = svd_target(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)), 2)
         target[1, 5] = bad

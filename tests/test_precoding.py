@@ -35,15 +35,24 @@ def test_precoder_validates_power():
     bad = np.ones((2, 2), dtype=complex)
     with pytest.raises(ValueError):
         Precoder(matrix=bad, total_power=1.0, beta=1.0)
-    with pytest.raises(ValueError):
-        Precoder(matrix=bad, total_power=4.0, beta=-1.0)
+    # a NaN or an infinity fails each check
+    for matrix, power in [(np.full((2, 2), np.nan), 4.0), (np.full((2, 2), np.inf), 4.0),
+                          (bad, np.inf), (np.full((2, 2), np.inf), np.inf)]:
+        with pytest.raises(ValueError, match="total power"):
+            Precoder(matrix=matrix, total_power=power, beta=1.0)
+    for beta in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="beta"):
+            Precoder(matrix=bad, total_power=4.0, beta=beta)
 
 
 def test_mmse_rejects_bad_snr(rng):
     g, h = _random_channel(rng)
-    for snr in (0.0, -1.0, np.inf):
-        with pytest.raises(ValueError):
+    for snr in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^snr must be finite and positive$"):
             mmse_precoder(g, h, snr, total_power=3.0)
+    for power in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^total_power must be finite and positive$"):
+            mmse_precoder(g, h, 10.0, total_power=power)
 
 
 def test_trace_equals_spectral_form(rng):

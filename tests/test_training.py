@@ -169,6 +169,16 @@ class TestTrain:
             train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
                   snr=10.0, seed=9)
 
+    # the MMSE initialisation refuses the snr before the noise variance needs it
+    @pytest.mark.parametrize("snr", [0.0, -1.0])
+    def test_rejects_bad_snr(self, small_geometry, snr):
+        h, config = _train_setup(iterations=5)
+        device = SimDevice(small_geometry.n_cells, DeviceConfig(("ac", "pc", "pc")),
+                           rng=np.random.default_rng(4))
+        with pytest.raises(ValueError, match="^snr must be finite and positive$"):
+            train(coupling_chain(small_geometry), device, h, config, QPSK, total_power=2.0,
+                  snr=snr, seed=9)
+
     def test_divergence_raises_after_retry(self, small_geometry):
         h, _ = _train_setup()
         # near-noiseless start so the scrambled loss clears the 10x threshold
